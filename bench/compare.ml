@@ -34,7 +34,11 @@
      statements on the evaluation workloads) must hold absolute floors on
      the loop-nest apps — AdPredictor >= 0.9, K-Means >= 0.9, N-Body >=
      0.99 — and no app may drop more than 0.02 below its baseline
-     coverage.
+     coverage;
+   - per-app flow-level VM coverage ("flow_vm_coverage": planned / all
+     interpreted statements of a quick, cold, uninformed flow, profiled
+     and region-tracked runs included) must hold absolute floors on every
+     app, set from the measured values minus the same 0.02 slack.
 
    Exit status 1 on any violation, 0 otherwise.  The JSON reader below is
    a minimal recursive-descent parser for the subset bench emits (objects,
@@ -194,6 +198,18 @@ let coverage_floors =
 (* coverage is deterministic, so any drop is a real planning regression;
    the small slack only absorbs workload-mix changes between revisions *)
 let coverage_slack = 0.02
+
+(* absolute per-app floors for flow-level VM coverage: measured quick-flow
+   coverage (N-Body 0.859, K-Means 0.979, AdPredictor 0.805, Rush Larsen
+   0.971, Bezier 0.980) minus [coverage_slack], rounded down.  Keeps the
+   flow's profiled and region-tracked runs on the planned path. *)
+let flow_coverage_floors =
+  [ ("N-Body Simulation", 0.83);
+    ("K-Means Classification", 0.95);
+    ("AdPredictor", 0.78);
+    ("Rush Larsen ODE Solver", 0.95);
+    ("Bezier Surface Generation", 0.96)
+  ]
 
 let failures = ref 0
 
@@ -452,7 +468,22 @@ let run_regressions current_path baseline_path =
           else if not (List.mem_assoc name coverage_floors) then
             Printf.printf "ok    vm coverage %-26s %.3f -> %.3f\n" name base_c cur_c)
       base_cov
-  end
+  end;
+  (* flow-level VM coverage: absolute floors on every app *)
+  let cur_flow_cov =
+    Option.fold ~none:[] ~some:num_members (member "flow_vm_coverage" current)
+  in
+  if cur_flow_cov <> [] then
+    List.iter
+      (fun (name, floor) ->
+        match List.assoc_opt name cur_flow_cov with
+        | None -> report "flow vm coverage is missing app %S" name
+        | Some c ->
+          if c < floor then
+            report "flow vm coverage %-26s %.3f (needs >= %.2f)" name c floor
+          else
+            Printf.printf "ok    flow vm coverage %-26s %.3f (>= %.2f)\n" name c floor)
+      flow_coverage_floors
 
 let () =
   (match Sys.argv with

@@ -25,7 +25,8 @@
      main.exe --trace FILE    write a Chrome trace-event span trace of the run
      main.exe --ledger D      run-ledger directory for the bench record
                               (default .psa-runs; off = disabled)
-     main.exe fig5 table1 fig6 ablation micro interp    any subset, in any order *)
+     main.exe fig5 table1 fig6 ablation micro interp flow
+                              any subset, in any order *)
 
 let argv = Array.to_list Sys.argv
 
@@ -88,7 +89,9 @@ let trace_file = opt_value "--trace"
 let () = if trace_file <> None then Obs.Trace.start ()
 
 let wants section =
-  let named = [ "runs"; "fig5"; "table1"; "fig6"; "micro"; "ablation"; "interp" ] in
+  let named =
+    [ "runs"; "fig5"; "table1"; "fig6"; "micro"; "ablation"; "interp"; "flow" ]
+  in
   let requested = List.filter (fun a -> List.mem a named) argv in
   requested = [] || List.mem section requested
 
@@ -115,6 +118,12 @@ let throughput : (string * float) list ref = ref []
 (* per-app VM step coverage (planned statements / total statements), filled
    by the "interp" section and reported under "vm_coverage" in the JSON *)
 let vm_coverage : (string * float) list ref = ref []
+
+(* per-app VM step coverage of a whole quick, cold, uninformed flow — every
+   interpreter run the flow makes, profiled and region-tracked ones
+   included — filled by the "flow" section and reported under
+   "flow_vm_coverage" in the JSON *)
+let flow_vm_coverage : (string * float) list ref = ref []
 
 let write_json path ~total =
   let b = Buffer.create 4096 in
@@ -151,13 +160,16 @@ let write_json path ~total =
       Printf.bprintf b "    %S: %.1f%s\n" name sps
         (if i < List.length tp - 1 then "," else ""))
     tp;
-  Buffer.add_string b "  },\n  \"vm_coverage\": {\n";
-  let cov = !vm_coverage in
-  List.iteri
-    (fun i (name, c) ->
-      Printf.bprintf b "    %S: %.4f%s\n" name c
-        (if i < List.length cov - 1 then "," else ""))
-    cov;
+  let coverage_map key cov =
+    Printf.bprintf b "  },\n  %S: {\n" key;
+    List.iteri
+      (fun i (name, c) ->
+        Printf.bprintf b "    %S: %.4f%s\n" name c
+          (if i < List.length cov - 1 then "," else ""))
+      cov
+  in
+  coverage_map "vm_coverage" !vm_coverage;
+  coverage_map "flow_vm_coverage" !flow_vm_coverage;
   Buffer.add_string b "  },\n";
   let s = Cache.stats () in
   Printf.bprintf b
@@ -409,6 +421,44 @@ let run_interp_throughput () =
     "VM step coverage - planned statements / total statements per app";
   Util.Table.print ctable
 
+(* Flow-level VM coverage: the share of all interpreted statements of one
+   flow that ran planned.  Cold means every interpreter run executes: the
+   disk tier is off and the memory tier is cleared before each app. *)
+let run_flow_coverage () =
+  let saved_dir = Cache.dir () in
+  Cache.set_dir None;
+  Fun.protect
+    ~finally:(fun () -> Cache.set_dir saved_dir)
+    (fun () ->
+      flow_vm_coverage :=
+        List.filter_map
+          (fun (app : App.t) ->
+            Cache.clear_memory ();
+            let steps0 = (Machine.exec_stats ()).Machine.exec_steps in
+            let planned0 = Machine.planned_steps () in
+            match
+              Engine.run ~workload:app.App.app_test_overrides ~mode:Pipeline.Uninformed app
+            with
+            | Error e ->
+              Printf.eprintf "bench: %s flow failed: %s\n" app.App.app_name e;
+              None
+            | Ok _ ->
+              let steps = (Machine.exec_stats ()).Machine.exec_steps - steps0 in
+              let planned = Machine.planned_steps () - planned0 in
+              if steps > 0 then
+                Some (app.App.app_name, float_of_int planned /. float_of_int steps)
+              else None)
+          Suite.all);
+  let table = Util.Table.create ~headers:[ "app"; "flow vm coverage" ] in
+  Util.Table.set_aligns table [ Util.Table.Left; Util.Table.Right ];
+  List.iter
+    (fun (name, c) -> Util.Table.add_row table [ name; Printf.sprintf "%.3f" c ])
+    !flow_vm_coverage;
+  print_newline ();
+  print_endline
+    "Flow VM coverage - planned / interpreted statements of a quick, cold, uninformed flow";
+  Util.Table.print table
+
 let run_ablation () =
   (* the transforms' individual contributions, on the two accelerator-won
      benchmarks: N-Body (GPU) and AdPredictor (FPGA) *)
@@ -432,6 +482,7 @@ let () =
   if wants "ablation" then timed "ablation" run_ablation;
   if wants "micro" then timed "micro" run_micro;
   if wants "interp" then timed "interp" run_interp_throughput;
+  if wants "flow" then timed "flow" run_flow_coverage;
   (match json_file with
    | Some path -> write_json path ~total:(Obs.Monotonic.now_s () -. t0)
    | None -> ());

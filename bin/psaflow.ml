@@ -253,7 +253,14 @@ let print_vm_plan app =
                  (String.concat ", " rs))
         in
         Printf.printf "  %-32s %s\n" (Loc.to_string loc) status)
-      report
+      report;
+    (* loops the flow generated (design code), which the app's own
+       report does not list *)
+    List.iter
+      (fun (loc, reason) ->
+        if not (List.mem_assoc loc report) then
+          Printf.printf "  %-32s generated loop, bailed: %s\n" (Loc.to_string loc) reason)
+      bails
   end
 
 (* Scheduling and wall-clock telemetry (pool.* steal/idle/queue

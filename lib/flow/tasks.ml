@@ -377,7 +377,11 @@ let gpu_sp_numeric_literals =
     ~dynamic:true (fun art ->
       let* body = gpu_body_fn art in
       let ds = Artifact.design_exn art in
-      sp_demote_with_guard art ~fnames:[ body ] ~manage_fn:ds.Artifact.ds_manage_fn)
+      (* the launch function forwards the demoted device buffers to the
+         body, so its pointer parameters must be demoted with it *)
+      sp_demote_with_guard art
+        ~fnames:[ body; ds.Artifact.ds_compute_fn ]
+        ~manage_fn:ds.Artifact.ds_manage_fn)
 
 let employ_hip_pinned_memory =
   Task.make ~name:"Employ HIP Pinned Memory" ~kind:Task.Transform ~scope:Task.Gpu_scope

@@ -56,7 +56,19 @@ type prepared = {
   aidata : int array array;
   adem : bool array;  (* element type is float32: stores demote *)
   abool : bool array;  (* element type is bool: stores normalise *)
-  (* per-cursor position, per-level coefficient values, resolved data *)
+  (* region tracking: the active frames of this entry (as a list, to spot
+     re-entries under the same frames, and as an array) and, per array and
+     frame, its footprint bitsets ([no_bytes] until first touched); the
+     innermost frame's are mirrored in [fw0]/[fr0] for the one-frame case *)
+  mutable frame_list : region_frame list;
+  mutable frames : region_frame array;
+  fpw : Bytes.t array array;
+  fpr : Bytes.t array array;
+  fw0 : Bytes.t array;
+  fr0 : Bytes.t array;
+  (* per-cursor array id, position, per-level coefficient values, resolved
+     data *)
+  carr : int array;
   cpos : int array;
   ccoef : int array array;
   cfdata : float array array;
@@ -67,6 +79,15 @@ type prepared = {
   enter_d : int array array;
   step_d : int array array;
   exit_d : int array array;
+  (* per-level loop profiling (levels >= 1): per-entry inclusive cost with
+     every site on its else arm (cost walk), the sites inside the level,
+     derived entries, and the order levels were first entered *)
+  lcost : int array array;
+  lsites : int array array;
+  lent : int array;
+  lseen : bool array;
+  lorder : int array;
+  mutable nseen : int;
 }
 
 exception Bail of string
@@ -103,6 +124,12 @@ let m_planned = Obs.Metrics.counter "vm.steps.planned"
 
 let planned_steps () = Obs.Metrics.Counter.value m_planned
 
+(* the same count for the calling domain only: a run never leaves its
+   domain, so a before/after delta is that run's planned steps *)
+let domain_planned = Domain.DLS.new_key (fun () -> ref 0)
+
+let domain_planned_steps () = !(Domain.DLS.get domain_planned)
+
 (* Magnitude caps under which the affine endpoint algebra below is exact
    (no wrap-around): |index|,|bound|,|base|,|offset| <= 2^40 and
    |coef| <= 2^20 keep every cursor position intermediate below 2^61 <
@@ -128,6 +155,28 @@ let cmul x y =
 
 let no_f : float array = [||]
 let no_i : int array = [||]
+let no_bytes = Bytes.create 0
+
+(* sites lexically inside each level's body, at any depth *)
+let level_sites (fl : Ir.fast_loop) =
+  let nl = Array.length fl.Ir.fl_levels in
+  let lsites = Array.make nl [||] in
+  let rec collect (b : Ir.block) =
+    Array.fold_left
+      (fun acc (it : Ir.bitem) ->
+        match it with
+        | Ir.Bops _ -> acc
+        | Ir.Bsite sid ->
+          let s = fl.Ir.fl_sites.(sid) in
+          (sid :: collect s.Ir.s_then) @ collect s.Ir.s_else @ acc
+        | Ir.Bloop lid ->
+          let inner = collect fl.Ir.fl_levels.(lid).Ir.l_body in
+          lsites.(lid) <- Array.of_list inner;
+          inner @ acc)
+      [] b.Ir.b_items
+  in
+  ignore (collect fl.Ir.fl_levels.(0).Ir.l_body);
+  lsites
 
 let prepare (fl : Ir.fast_loop) ~(index_slot : int)
     ~(lookup : string -> (source * Ast.ty) option) : prepared option =
@@ -212,6 +261,13 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
         aidata = Array.make na no_i;
         adem = Array.map (fun (a : Ir.arr) -> a.Ir.a_ety = Ir.Efloat32) fl.Ir.fl_arrs;
         abool = Array.map (fun (a : Ir.arr) -> a.Ir.a_ety = Ir.Ebool) fl.Ir.fl_arrs;
+        frame_list = [];
+        frames = [||];
+        fpw = Array.make na [||];
+        fpr = Array.make na [||];
+        fw0 = Array.make na no_bytes;
+        fr0 = Array.make na no_bytes;
+        carr = Array.map (fun (c : Ir.cursor) -> c.Ir.c_arr) fl.Ir.fl_cursors;
         cpos = Array.make nc 0;
         ccoef = Array.init nc (fun _ -> Array.make nl 0);
         cfdata = Array.make nc no_f;
@@ -220,6 +276,12 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
         enter_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
         step_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
         exit_d = Array.map (fun cs -> Array.make (max 1 (Array.length cs)) 0) lev_cur;
+        lcost = Array.make nl [||];
+        lsites = level_sites fl;
+        lent = Array.make nl 0;
+        lseen = Array.make nl false;
+        lorder = Array.make nl 0;
+        nseen = 0;
       }
   end
 
@@ -233,6 +295,8 @@ let rec ieval p (e : Ir.iexpr) : int =
   | Ir.Isub (a, b) -> ieval p a - ieval p b
   | Ir.Imul (a, b) -> ieval p a * ieval p b
   | Ir.Ineg a -> -ieval p a
+  | Ir.Imin (a, b) -> Int.min (ieval p a) (ieval p b)
+  | Ir.Imax (a, b) -> Int.max (ieval p a) (ieval p b)
 
 let m1 (m : Ir.m1) (x : float) : float =
   match m with
@@ -315,15 +379,19 @@ let rec eval_block p (b : Ir.block) (mult : int) : int array =
         let lv = p.fl.Ir.fl_levels.(lid) in
         let trip = p.trip.(lid) in
         let inner = eval_block p lv.Ir.l_body (cmul mult trip) in
-        (* closure-loop bookkeeping: lo evaluated once per entry; each
-           iteration pays the test (1 int op + hi ops + 1 branch) and the
-           bump (1 int op + step ops); the final failing test pays
-           1 + hi ops and a branch *)
-        vadd_into v (ivec ~ints:lv.Ir.l_lo_ops ~brs:0);
+        (* closure-loop bookkeeping: lo evaluated once per entry, before
+           the level's own profiling snapshot; each iteration pays the
+           test (1 int op + hi ops + 1 branch) and the bump (1 int op +
+           step ops); the final failing test pays 1 + hi ops and a
+           branch.  [e] is one entry's inclusive cost, the level's
+           loop-profile baseline. *)
         vadd_into inner
           (ivec ~ints:(2 + lv.Ir.l_hi_ops + lv.Ir.l_step_ops) ~brs:1);
-        vadd_into v (vscale trip inner);
-        vadd_into v (ivec ~ints:(1 + lv.Ir.l_hi_ops) ~brs:1))
+        let e = vscale trip inner in
+        vadd_into e (ivec ~ints:(1 + lv.Ir.l_hi_ops) ~brs:1);
+        p.lcost.(lid) <- e;
+        vadd_into v (ivec ~ints:lv.Ir.l_lo_ops ~brs:0);
+        vadd_into v e)
     b.Ir.b_items;
   v
 
@@ -345,6 +413,58 @@ let apply_totals (t : Counters.t) (tot : int array) =
   t.Counters.bytes_loaded <- t.Counters.bytes_loaded + tot.(12);
   t.Counters.bytes_stored <- t.Counters.bytes_stored + tot.(13);
   t.Counters.branches <- t.Counters.branches + tot.(14)
+
+(* ---- region footprints ----
+
+   The walker marks every active frame's bitsets at each access
+   ([Interp_rt.count_load]/[count_store]); tracked plans do the same at
+   the access's mark op.  A frame's bitsets for a base are created on
+   first touch by the same [get_footprint], so creation order — and with
+   it the region's traffic list — matches the walker's too. *)
+
+let set_fp p a j w r =
+  p.fpw.(a).(j) <- w;
+  p.fpr.(a).(j) <- r;
+  if j = 0 then begin
+    p.fw0.(a) <- w;
+    p.fr0.(a) <- r
+  end
+
+let resolve_fp p st a j =
+  let fp = get_footprint st p.frames.(j) p.abase.(a) in
+  set_fp p a j fp.fp_written fp.fp_read_first
+
+(* frames [j0..]: resolve on first touch, then mark *)
+let mark_read_from p st j0 a idx =
+  let w = p.fpw.(a) in
+  for j = j0 to Array.length w - 1 do
+    if w.(j) == no_bytes then resolve_fp p st a j;
+    if Bytes.get w.(j) idx = '\000' then Bytes.set p.fpr.(a).(j) idx '\001'
+  done
+
+let mark_write_from p st j0 a idx =
+  let w = p.fpw.(a) in
+  for j = j0 to Array.length w - 1 do
+    if w.(j) == no_bytes then resolve_fp p st a j;
+    Bytes.set w.(j) idx '\001'
+  done
+
+(* the innermost frame inline once resolved — usually the only one *)
+let mark_read p st a idx =
+  let w = p.fw0.(a) in
+  if w == no_bytes then mark_read_from p st 0 a idx
+  else begin
+    if Bytes.get w idx = '\000' then Bytes.set p.fr0.(a) idx '\001';
+    if Array.length p.frames > 1 then mark_read_from p st 1 a idx
+  end
+
+let mark_write p st a idx =
+  let w = p.fw0.(a) in
+  if w == no_bytes then mark_write_from p st 0 a idx
+  else begin
+    Bytes.set w idx '\001';
+    if Array.length p.frames > 1 then mark_write_from p st 1 a idx
+  end
 
 let oob p (a : int) (idx : int) (loc : Loc.t) =
   runtime_error loc "array %s: index %d out of bounds [0,%d)" p.aname.(a) idx
@@ -465,6 +585,10 @@ let exec p st (ops : Ir.fop array) =
     | Ir.FMulAccSt (c, a, b) ->
       let q = p.cfdata.(c) and i = p.cpos.(c) in
       q.(i) <- q.(i) +. (f.(a) *. f.(b))
+    | Ir.TrackRd c -> mark_read p st p.carr.(c) p.cpos.(c)
+    | Ir.TrackWr c -> mark_write p st p.carr.(c) p.cpos.(c)
+    | Ir.TrackRdCk (a, i) -> mark_read p st a (p.aoff.(a) + n.(i))
+    | Ir.TrackWrCk (a, i) -> mark_write p st a (p.aoff.(a) + n.(i))
   done
 
 (* ---- tree executor ---- *)
@@ -485,6 +609,11 @@ let rec run_block p st (b : Ir.block) =
   done
 
 and run_level p st lid =
+  if not (Array.unsafe_get p.lseen lid) then begin
+    p.lseen.(lid) <- true;
+    p.lorder.(p.nseen) <- lid;
+    p.nseen <- p.nseen + 1
+  end;
   let lv = Array.unsafe_get p.fl.Ir.fl_levels lid in
   let cs = p.lev_cur.(lid) in
   let en = p.enter_d.(lid) and sd = p.step_d.(lid) and ex = p.exit_d.(lid) in
@@ -513,6 +642,56 @@ and run_level p st lid =
     p.cpos.(c) <- p.cpos.(c) - Array.unsafe_get ex j
   done
 
+(* Per-level loop profiles of a committed nest, derived from the same
+   baseline + sum of tk*delta fold as the totals.  A block runs n times:
+   the root body trip_0 times, a level's body (its entries * its trip)
+   times, a site's then arm tk times and its else arm the rest.  A
+   level's inclusive counters are its entries times its per-entry
+   baseline plus tk*delta of every site inside it.  Levels are touched in
+   the order the run first entered them, so loop_acc creation order is
+   the closure path's; a level never entered gets no entry.  The
+   arithmetic is the same wrap-around ring the counters themselves live
+   in, so it is exact without overflow checks.  The root's own profile is
+   kept by the enclosing compiled loop. *)
+let profile_levels p st =
+  let fl = p.fl in
+  let rec walk (b : Ir.block) n =
+    Array.iter
+      (fun (it : Ir.bitem) ->
+        match it with
+        | Ir.Bops _ -> ()
+        | Ir.Bsite sid ->
+          let s = fl.Ir.fl_sites.(sid) in
+          let tk = p.tk.(sid) in
+          walk s.Ir.s_then tk;
+          walk s.Ir.s_else (n - tk)
+        | Ir.Bloop lid ->
+          p.lent.(lid) <- n;
+          walk fl.Ir.fl_levels.(lid).Ir.l_body (n * p.trip.(lid)))
+      b.Ir.b_items
+  in
+  walk fl.Ir.fl_levels.(0).Ir.l_body p.trip.(0);
+  for k = 0 to p.nseen - 1 do
+    let lid = p.lorder.(k) in
+    if lid > 0 then begin
+      let n = p.lent.(lid) in
+      let a = loop_acc_of st fl.Ir.fl_levels.(lid).Ir.l_sid in
+      a.la_entries <- a.la_entries + n;
+      a.la_iterations <- a.la_iterations + (n * p.trip.(lid));
+      let tot = Array.map (fun x -> n * x) p.lcost.(lid) in
+      Array.iter
+        (fun sid ->
+          let tks = p.tk.(sid) in
+          let d = p.dsite.(sid) in
+          for i = 0 to 14 do
+            tot.(i) <- tot.(i) + (tks * d.(i))
+          done)
+        p.lsites.(lid);
+      a.la_counters.Counters.steps <- a.la_counters.Counters.steps + tot.(0);
+      apply_totals a.la_counters tot
+    end
+  done
+
 let read_src (fr : Value.t array) = function
   | Slot i -> fr.(i)
   | Global r -> !r
@@ -522,10 +701,9 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   let levels = fl.Ir.fl_levels in
   let nl = Array.length levels in
   let nsites = Array.length fl.Ir.fl_sites in
-  (* 0. per-loop profiling wants loop_stats for every level, but the fast
-     path only accounts the root: run nests on the slow path when loop
-     profiling is on (single-level plans profile exactly via [acc]) *)
-  if st.cfg.profile_loops && nl > 1 then raise (Bail "profiled");
+  (* 0. only a tracked plan can mark the footprints of active regions *)
+  if st.active_regions <> [] && not fl.Ir.fl_tracked then
+    raise (Bail "untracked");
   (* 1. load external scalars, strictly typed (mismatch -> slow path) *)
   let vars = fl.Ir.fl_vars in
   for k = 0 to Array.length vars - 1 do
@@ -644,6 +822,30 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
       fl.Ir.fl_promoted;
     p.avalid <- true
   end;
+  (* 4c. region tracking: this entry's frames, and the bitsets each frame
+     already holds for each array.  Missing ones stay [no_bytes] and are
+     created at the first access, as the walker creates them.  A frame
+     never replaces a bitset it holds, so re-entries under the same frames
+     with the same arrays keep the previous resolution. *)
+  if fl.Ir.fl_tracked && not (!same && st.active_regions == p.frame_list)
+  then begin
+    let frames = Array.of_list st.active_regions in
+    p.frame_list <- st.active_regions;
+    p.frames <- frames;
+    let nfr = Array.length frames in
+    for k = 0 to na - 1 do
+      p.fpw.(k) <- Array.make nfr no_bytes;
+      p.fpr.(k) <- Array.make nfr no_bytes;
+      p.fw0.(k) <- no_bytes;
+      p.fr0.(k) <- no_bytes;
+      Array.iteri
+        (fun j frame ->
+          match Hashtbl.find_opt frame.rf_footprints p.abase.(k) with
+          | Some fp -> set_fp p k j fp.fp_written fp.fp_read_first
+          | None -> ())
+        frames
+    done
+  end;
   (* 5. cursors: evaluate the affine coefficients and the separable
      endpoint bounds — in-bounds extrema imply every reached iteration is
      in bounds.  A cursor with a nonzero coefficient at a zero-trip level
@@ -711,6 +913,8 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   done;
   (* ---- commit: from here on the fast path runs the nest to the end ---- *)
   Array.fill p.tk 0 (Array.length p.tk) 0;
+  Array.fill p.lseen 0 nl false;
+  p.nseen <- 0;
   exec p st fl.Ir.fl_prologue;
   (match p.simple with
    | Some ops ->
@@ -752,7 +956,10 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   if tot.(0) > 0 then consume_steps st tot.(0);
   apply_totals st.counters tot;
   Obs.Metrics.Counter.add m_planned tot.(0);
+  let dp = Domain.DLS.get domain_planned in
+  dp := !dp + tot.(0);
   acc.la_iterations <- acc.la_iterations + p.trip.(0);
+  if st.cfg.profile_loops && nl > 1 then profile_levels p st;
   (* write back mutated scalars with the representation [Set] maintains *)
   for k = 0 to Array.length vars - 1 do
     let v = vars.(k) in
@@ -771,19 +978,13 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
   fr.(p.index_slot) <- Value.Vint (root_lo + (p.trip.(0) * p.lstep.(0)))
 
 let try_run p st (fr : Value.t array) (acc : loop_acc) : bool =
-  (* observation regions want per-access footprints: defer to the slow path *)
-  if st.active_regions <> [] then begin
-    record_bail p.fl.Ir.fl_loc "region";
+  try
+    attempt p st fr acc;
+    true
+  with
+  | Bail r ->
+    record_bail p.fl.Ir.fl_loc r;
     false
-  end
-  else
-    try
-      attempt p st fr acc;
-      true
-    with
-    | Bail r ->
-      record_bail p.fl.Ir.fl_loc r;
-      false
-    | Failure _ ->
-      record_bail p.fl.Ir.fl_loc "memory";
-      false
+  | Failure _ ->
+    record_bail p.fl.Ir.fl_loc "memory";
+    false

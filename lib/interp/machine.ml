@@ -137,18 +137,34 @@ let effective_config config =
 
 (* ---- execution ---- *)
 
+(* what a run observes beyond its result, e.g. "profiled,regions" *)
+let observe_flags (c : config) =
+  match
+    List.filter_map
+      (fun (on, name) -> if on then Some name else None)
+      [ (c.profile_loops, "profiled"); (c.regions <> [], "regions");
+        (c.trace_aliases, "aliases") ]
+  with
+  | [] -> "none"
+  | flags -> String.concat "," flags
+
 let run ?(config = default_config) ?backend (program : Ast.program) : result =
   let config = effective_config config in
   let backend = match backend with Some b -> b | None -> default_backend () in
   Obs.Trace.with_span
-    ~attrs:[ ("backend", Obs.Trace.Str (backend_name backend)) ]
+    ~attrs:
+      [ ("backend", Obs.Trace.Str (backend_name backend));
+        ("observe", Obs.Trace.Str (observe_flags config)) ]
     ~name:"interp-run" ~kind:Obs.Trace.Interp_run
     (fun sp ->
       let t0 = Obs.Monotonic.now_s () in
+      let planned0 = Fastloop.domain_planned_steps () in
       let finish (r : result) =
         let steps = r.counters.Counters.steps in
         record_run steps (Obs.Monotonic.now_s () -. t0);
         Obs.Trace.add_attr sp "steps" (Obs.Trace.Int steps);
+        Obs.Trace.add_attr sp "planned_steps"
+          (Obs.Trace.Int (Fastloop.domain_planned_steps () - planned0));
         r
       in
       match backend with

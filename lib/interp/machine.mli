@@ -11,9 +11,9 @@ exception Runtime_error of Loc.t * string
 exception Step_limit_exceeded
 
 (** A profiled code region: a whole function body, or a single statement. *)
-type region = Rfunc of string | Rstmt of int
+type region = Interp_rt.region = Rfunc of string | Rstmt of int
 
-type config = {
+type config = Interp_rt.config = {
   seed : int;                          (** seed for the in-language [rand01()] *)
   overrides : (string * Value.t) list; (** global constants to override, e.g. workload size [N] *)
   profile_loops : bool;                (** per-loop inclusive cost and trip counts *)
@@ -27,7 +27,7 @@ val default_config : config
 (** seed 42, no overrides, all profiling off, 400M-step budget, entry [main]. *)
 
 (** Inclusive statistics of one loop statement (identified by stmt id). *)
-type loop_stats = {
+type loop_stats = Interp_rt.loop_stats = {
   ls_entries : int;      (** times the loop was entered *)
   ls_iterations : int;   (** total iterations across entries *)
   ls_work : float;       (** inclusive abstract CPU cycles ({!Counters.work}) *)
@@ -35,14 +35,14 @@ type loop_stats = {
 }
 
 (** Per-array traffic observed inside a region (summed over invocations). *)
-type array_traffic = {
+type array_traffic = Interp_rt.array_traffic = {
   at_name : string;
   at_elem_bytes : int;
   at_read_elems : int;    (** distinct elements read before first write *)
   at_written_elems : int; (** distinct elements written *)
 }
 
-type region_stats = {
+type region_stats = Interp_rt.region_stats = {
   rs_invocations : int;
   rs_counters : Counters.t;
   rs_traffic : array_traffic list;
@@ -50,7 +50,7 @@ type region_stats = {
   rs_bytes_out : int;  (** bytes it must send back *)
 }
 
-type result = {
+type result = Interp_rt.result = {
   ret : Value.t option;
   output : string list;                       (** lines from [print_int]/[print_float] *)
   counters : Counters.t;                      (** whole-program events *)
@@ -104,9 +104,23 @@ val planned_steps : unit -> int
 
 val plan_bail_sites : unit -> (Loc.t * string) list
 (** Planned loops that fell back to the closure path at runtime, as a
-    sorted (root location, reason) set — reasons like ["budget"],
-    ["bounds"], ["alias"], ["trip-count"], ["profiled"], ["region"].
-    Deterministic at any [--jobs]: memoization makes the set of executed
+    sorted (root location, reason) set.  Reasons:
+
+    - ["budget"]: the step budget could not survive the nest's worst case;
+    - ["trip-count"], ["bounds"], ["overflow"]: runtime bounds, indexes or
+      cost totals outside what the guard can prove exact and in bounds;
+    - ["alias"]: a hoisted load or promoted cell aliases another array;
+    - ["binding"], ["types"], ["memory"]: a name or array resolved to an
+      unexpected representation;
+    - ["untracked"]: regions were active but the plan carries no
+      footprint marks (it was lowered for a region-free config);
+    - ["ill-typed"]: the program failed typechecking, so none of its
+      loops was planned (recorded per [for] statement).
+
+    Multi-level nests under [profile_loops] and nests inside active
+    regions run planned: per-level loop profiles are derived from the
+    taken counters, and region-tracked plans mark footprints at each
+    access.  Deterministic at any [--jobs]: memoization makes the set of executed
     runs, and therefore the set of bail sites, schedule-independent. *)
 
 val set_step_cap : int option -> unit

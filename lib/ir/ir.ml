@@ -1,4 +1,4 @@
-let version = 2
+let version = 3
 
 type prec = Psingle | Pdouble
 
@@ -17,6 +17,8 @@ type iexpr =
   | Isub of iexpr * iexpr
   | Imul of iexpr * iexpr
   | Ineg of iexpr
+  | Imin of iexpr * iexpr
+  | Imax of iexpr * iexpr
 
 type cursor = { c_arr : int; c_coefs : iexpr array; c_base : iexpr }
 
@@ -79,6 +81,10 @@ type fop =
   | FRsqrt of int * int
   | FAccSt of int * int
   | FMulAccSt of int * int * int
+  | TrackRd of int
+  | TrackWr of int
+  | TrackRdCk of int * int
+  | TrackWrCk of int * int
 
 and m1 =
   | Msqrt
@@ -164,6 +170,7 @@ type fast_loop = {
   fl_ni : int;
   fl_hoisted : int array;
   fl_promoted : int array;
+  fl_tracked : bool;
 }
 
 type plan = (int, fast_loop) Hashtbl.t

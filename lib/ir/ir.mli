@@ -63,6 +63,8 @@ type iexpr =
   | Isub of iexpr * iexpr
   | Imul of iexpr * iexpr
   | Ineg of iexpr
+  | Imin of iexpr * iexpr  (** [imin] intrinsic, in bounds only *)
+  | Imax of iexpr * iexpr  (** [imax] intrinsic, in bounds only *)
 
 (** Affine access path across the whole nest: element index =
     [sum_l coefs.(l) * i_l + base] over the levels' loop variables (the
@@ -155,6 +157,13 @@ type fop =
   | FRsqrt of int * int  (** d <- 1.0 /. sqrt a *)
   | FAccSt of int * int  (** farray(cur) <- farray(cur) +. freg *)
   | FMulAccSt of int * int * int  (** farray(cur) <- farray(cur) +. a *. b *)
+  (* footprint marks, emitted only in region-tracked plans right after the
+     access they describe: mark the element just read (before any write)
+     or just written in every active region frame's bitsets *)
+  | TrackRd of int  (** element at cursor was read *)
+  | TrackWr of int  (** element at cursor was written *)
+  | TrackRdCk of int * int  (** arr, idx reg: checked element was read *)
+  | TrackWrCk of int * int  (** arr, idx reg: checked element was written *)
 
 and m1 =
   | Msqrt
@@ -245,7 +254,9 @@ type level = {
     cells) once on normal exit.  [fl_hoisted] and [fl_promoted] name the
     arrays whose loads/cells were moved out of the nest; the guard
     re-checks at runtime that their bases do not alias any conflicting
-    access before using the fast path. *)
+    access before using the fast path.  A region-tracked plan
+    ([fl_tracked]) moves nothing: both arrays are empty, so its accesses
+    and their footprint marks happen exactly where the walker's do. *)
 type fast_loop = {
   fl_sid : int;  (** statement id of the root [For] *)
   fl_loc : Loc.t;  (** source location of the root [For] (diagnostics) *)
@@ -260,6 +271,9 @@ type fast_loop = {
   fl_ni : int;  (** int register file size *)
   fl_hoisted : int array;  (** arrs with loads hoisted into the prologue *)
   fl_promoted : int array;  (** arrs register-promoted across the nest *)
+  fl_tracked : bool;
+      (** region-tracked: every access is followed by its footprint mark,
+          and no load or cell was moved out of the nest *)
 }
 
 (** Plan for a whole program: lowered nests keyed by [For] statement id.

@@ -106,6 +106,7 @@ type lctx = {
   all_locals : (string, unit) Hashtbl.t;  (* names declared anywhere in nest *)
   user_funcs : (string, unit) Hashtbl.t;
   region_set : (int, unit) Hashtbl.t;
+  tracked : bool;  (* follow every access with its footprint mark *)
   sym : (string, sym) Hashtbl.t;  (* scoped: add shadows, remove unshadows *)
   mutable nf : int;
   mutable ni : int;
@@ -145,6 +146,9 @@ let alloci c =
   r
 
 let emit c op = c.cur <- op :: c.cur
+
+(* footprint mark of the access just emitted (region-tracked plans only) *)
+let track c op = if c.tracked then emit c op
 
 (* ---- block construction ----
 
@@ -373,6 +377,13 @@ let rec invariant c (e : expr) : Ir.iexpr * int =
     let x, na = invariant c a in
     let y, nb = invariant c b in
     (imul x y, na + nb + 1)
+  | Call ((("imin" | "imax") as name), [ a; b ])
+    when not (Hashtbl.mem c.user_funcs name) ->
+    (* compile.ml's int imin/imax: both operands, then one count_int_op —
+       e.g. the strip-mined [j < imin(jj + T, N)] of tiled loops *)
+    let x, na = invariant c a in
+    let y, nb = invariant c b in
+    ((if name = "imin" then Ir.Imin (x, y) else Ir.Imax (x, y)), na + nb + 1)
   | _ -> reject "non-invariant bound"
 
 (* ---- expression lowering ---- *)
@@ -699,26 +710,33 @@ and lindex c (e : expr) base idx : lres =
     match affine c idx with
     | Some (coefs, bse, nops) ->
       c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
-      load_affine (getcursor c aid coefs bse)
+      let cur = getcursor c aid coefs bse in
+      let r = load_affine cur in
+      track c (Ir.TrackRd cur);
+      r
     | None ->
       let ii = as_int c (lexpr c idx) in
-      (match ety with
-       | Ir.Efloat32 ->
-         let d = allocf c in
-         emit c (Ir.FLdCk (d, aid, ii, e.eloc));
-         Rf (d, Ir.Psingle)
-       | Ir.Efloat64 ->
-         let d = allocf c in
-         emit c (Ir.FLdCk (d, aid, ii, e.eloc));
-         Rf (d, Ir.Pdouble)
-       | Ir.Eint ->
-         let d = alloci c in
-         emit c (Ir.ILdCk (d, aid, ii, e.eloc));
-         Ri (d, false)
-       | Ir.Ebool ->
-         let d = alloci c in
-         emit c (Ir.ILdCk (d, aid, ii, e.eloc));
-         Ri (d, true))
+      let r =
+        match ety with
+        | Ir.Efloat32 ->
+          let d = allocf c in
+          emit c (Ir.FLdCk (d, aid, ii, e.eloc));
+          Rf (d, Ir.Psingle)
+        | Ir.Efloat64 ->
+          let d = allocf c in
+          emit c (Ir.FLdCk (d, aid, ii, e.eloc));
+          Rf (d, Ir.Pdouble)
+        | Ir.Eint ->
+          let d = alloci c in
+          emit c (Ir.ILdCk (d, aid, ii, e.eloc));
+          Ri (d, false)
+        | Ir.Ebool ->
+          let d = alloci c in
+          emit c (Ir.ILdCk (d, aid, ii, e.eloc));
+          Ri (d, true)
+      in
+      track c (Ir.TrackRdCk (aid, ii));
+      r
   in
   kload c ety;
   r
@@ -911,12 +929,14 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
         | Ir.Efloat32 -> emit c (Ir.FStDem (cur, src))
         | Ir.Efloat64 -> emit c (Ir.FSt (cur, src))
         | Ir.Eint -> emit c (Ir.ISt (cur, src))
-        | Ir.Ebool -> emit c (Ir.IStB (cur, src)))
+        | Ir.Ebool -> emit c (Ir.IStB (cur, src)));
+       track c (Ir.TrackWr cur)
      | None ->
        let ii = as_int c (lexpr c idx) in
        (match ety with
         | Ir.Efloat32 | Ir.Efloat64 -> emit c (Ir.FStCk (aid, ii, src, lhs.eloc))
-        | Ir.Eint | Ir.Ebool -> emit c (Ir.IStCk (aid, ii, src, lhs.eloc))));
+        | Ir.Eint | Ir.Ebool -> emit c (Ir.IStCk (aid, ii, src, lhs.eloc)));
+       track c (Ir.TrackWrCk (aid, ii)));
     kstore c ety
   | AddEq | SubEq | MulEq | DivEq ->
     let bop = binop_of_assign op in
@@ -934,15 +954,22 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
          | Some (coefs, bse, nops) ->
            c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
            let cur = getcursor c aid coefs bse in
-           ( (fun d -> emit c (Ir.FLd (d, cur))),
+           ( (fun d ->
+               emit c (Ir.FLd (d, cur));
+               track c (Ir.TrackRd cur)),
              fun srcr ->
                emit c
                  (if ety = Ir.Efloat32 then Ir.FStDem (cur, srcr)
-                  else Ir.FSt (cur, srcr)) )
+                  else Ir.FSt (cur, srcr));
+               track c (Ir.TrackWr cur) )
          | None ->
            let ii = as_int c (lexpr c idx) in
-           ( (fun d -> emit c (Ir.FLdCk (d, aid, ii, lhs.eloc))),
-             fun srcr -> emit c (Ir.FStCk (aid, ii, srcr, lhs.eloc)) )
+           ( (fun d ->
+               emit c (Ir.FLdCk (d, aid, ii, lhs.eloc));
+               track c (Ir.TrackRdCk (aid, ii))),
+             fun srcr ->
+               emit c (Ir.FStCk (aid, ii, srcr, lhs.eloc));
+               track c (Ir.TrackWrCk (aid, ii)) )
        in
        let x = allocf c in
        ld x;
@@ -973,12 +1000,20 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
          | Some (coefs, bse, nops) ->
            c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
            let cur = getcursor c aid coefs bse in
-           ( (fun d -> emit c (Ir.ILd (d, cur))),
-             fun srcr -> emit c (Ir.ISt (cur, srcr)) )
+           ( (fun d ->
+               emit c (Ir.ILd (d, cur));
+               track c (Ir.TrackRd cur)),
+             fun srcr ->
+               emit c (Ir.ISt (cur, srcr));
+               track c (Ir.TrackWr cur) )
          | None ->
            let ii = as_int c (lexpr c idx) in
-           ( (fun d -> emit c (Ir.ILdCk (d, aid, ii, lhs.eloc))),
-             fun srcr -> emit c (Ir.IStCk (aid, ii, srcr, lhs.eloc)) )
+           ( (fun d ->
+               emit c (Ir.ILdCk (d, aid, ii, lhs.eloc));
+               track c (Ir.TrackRdCk (aid, ii))),
+             fun srcr ->
+               emit c (Ir.IStCk (aid, ii, srcr, lhs.eloc));
+               track c (Ir.TrackWrCk (aid, ii)) )
        in
        let x = alloci c in
        ld x;
@@ -1104,7 +1139,8 @@ let fcounts nf ops_list =
            u b
          | IConst _ | IMov _ | ItoB _ | IAdd _ | ISub _ | IMul _ | INeg _
          | IDivZ _ | IModZ _ | IAbs _ | IMin _ | IMax _ | ICmp _ | INot _
-         | ILd _ | ISt _ | IStB _ | ILdCk _ | IStCk _ ->
+         | ILd _ | ISt _ | IStB _ | ILdCk _ | IStCk _ | TrackRd _ | TrackWr _
+         | TrackRdCk _ | TrackWrCk _ ->
            ()))
     ops_list;
   (defs, uses)
@@ -1267,8 +1303,8 @@ let collect_info body =
   List.iter stmt body;
   (assigned, all_locals)
 
-let plan_loop ~env ~user_funcs ~region_set (s : stmt) (h : for_header)
-    (body : block) : Ir.fast_loop =
+let plan_loop ~env ~user_funcs ~region_set ~tracked (s : stmt)
+    (h : for_header) (body : block) : Ir.fast_loop =
   let assigned, all_locals = collect_info body in
   let c =
     {
@@ -1277,6 +1313,7 @@ let plan_loop ~env ~user_funcs ~region_set (s : stmt) (h : for_header)
       all_locals;
       user_funcs;
       region_set;
+      tracked;
       sym = Hashtbl.create 8;
       nf = 0;
       ni = 0;
@@ -1374,25 +1411,31 @@ let plan_loop ~env ~user_funcs ~region_set (s : stmt) (h : for_header)
   in
   let pro = ref (List.rev c.pro) in
   let epi = ref [] in
+  (* Code motion (hoisting and promotion below) is off in region-tracked
+     plans: a hoisted prologue load, or a promoted cell's unconditional
+     epilogue store, would invent or reorder accesses, and footprints are
+     exact only because every access and its mark stay in walker order. *)
+  let motion = not c.tracked in
   (* hoist: loads through invariant (all-zero-coefficient) cursors of
      arrays never stored move to the prologue (guard re-checks no aliasing
      store can clobber them); their counter costs stay at the original
      site, so accounting is unchanged *)
   let hoisted = Hashtbl.create 4 in
-  rewrite_tree (fun ops ->
-      let kept =
-        List.filter_map
-          (fun (op : Ir.fop) ->
-            match op with
-            | (FLd (_, cu) | ILd (_, cu))
-              when zero_coef cu && not arrs.(arr_of cu).ma_stored ->
-              pro := !pro @ [ op ];
-              Hashtbl.replace hoisted (arr_of cu) ();
-              None
-            | _ -> Some op)
-          (Array.to_list ops)
-      in
-      Array.of_list kept);
+  if motion then
+    rewrite_tree (fun ops ->
+        let kept =
+          List.filter_map
+            (fun (op : Ir.fop) ->
+              match op with
+              | (FLd (_, cu) | ILd (_, cu))
+                when zero_coef cu && not arrs.(arr_of cu).ma_stored ->
+                pro := !pro @ [ op ];
+                Hashtbl.replace hoisted (arr_of cu) ();
+                None
+              | _ -> Some op)
+            (Array.to_list ops)
+        in
+        Array.of_list kept);
   (* promote: an array cell addressed only through one invariant cursor
      becomes a register, loaded on entry and stored back on exit (guard
      re-checks its base is distinct from every other accessed base).  The
@@ -1414,7 +1457,7 @@ let plan_loop ~env ~user_funcs ~region_set (s : stmt) (h : for_header)
   let promoted_regs = ref [] in
   Array.iteri
     (fun aid (ma : marr) ->
-      if ma.ma_stored && not (Hashtbl.mem ck_arrs aid) then begin
+      if motion && ma.ma_stored && not (Hashtbl.mem ck_arrs aid) then begin
         let cus = ref [] in
         Array.iteri
           (fun cu (a, _, _) ->
@@ -1521,6 +1564,7 @@ let plan_loop ~env ~user_funcs ~region_set (s : stmt) (h : for_header)
     fl_hoisted =
       Array.of_list (Hashtbl.fold (fun k () acc -> k :: acc) hoisted []);
     fl_promoted = Array.of_list !promoted;
+    fl_tracked = c.tracked;
   }
 
 (* ---- program walk ---- *)
@@ -1530,7 +1574,8 @@ type outcome = Planned of { levels : int; sites : int } | Unplannable of string
 let decl_binding_ty (d : decl) =
   match d.darray with Some _ -> Tptr d.dty | None -> d.dty
 
-let plan_with ?(region_sids = []) ~(note : stmt -> outcome -> unit)
+let plan_with ?(region_sids = []) ?(tracked = false)
+    ?(on_ill_typed = fun (_ : Loc.t) -> ()) ~(note : stmt -> outcome -> unit)
     (p : program) : Ir.plan =
   let tbl : Ir.plan = Hashtbl.create 16 in
   (match Typecheck.check_program p with
@@ -1547,6 +1592,7 @@ let plan_with ?(region_sids = []) ~(note : stmt -> outcome -> unit)
            | While (_, b) | Scope b -> walk b
            | For (_, b) ->
              note s (Unplannable "ill-typed program");
+             on_ill_typed s.sloc;
              walk b
            | Decl _ | Assign _ | Expr_stmt _ | Return _ | Break | Continue ->
              ())
@@ -1575,7 +1621,9 @@ let plan_with ?(region_sids = []) ~(note : stmt -> outcome -> unit)
                 walk_block env b;
                 env
               | For (h, body) ->
-                (match plan_loop ~env ~user_funcs ~region_set s h body with
+                (match
+                   plan_loop ~env ~user_funcs ~region_set ~tracked s h body
+                 with
                  | fl ->
                    Hashtbl.replace tbl s.sid fl;
                    note s
@@ -1598,8 +1646,8 @@ let plan_with ?(region_sids = []) ~(note : stmt -> outcome -> unit)
        (funcs p));
   tbl
 
-let plan ?region_sids (p : program) : Ir.plan =
-  plan_with ?region_sids ~note:(fun _ _ -> ()) p
+let plan ?region_sids ?tracked ?on_ill_typed (p : program) : Ir.plan =
+  plan_with ?region_sids ?tracked ?on_ill_typed ~note:(fun _ _ -> ()) p
 
 let plan_report ?region_sids (p : program) : (Loc.t * outcome) list =
   let acc = ref [] in

@@ -11,7 +11,7 @@
     per-site taken counters, so the executing backend's batched step and
     hardware-counter accounting stays exact even when arms cost
     differently.  Loops containing [while], [return], [break], [continue],
-    user function calls, or statements inside observation regions are
+    user function calls, or [Rstmt] observation-region statements are
     rejected, as is anything whose counter or rounding behaviour the flat
     IR cannot replicate bit-for-bit; rejected loops simply run on the
     closure backend, so lowering is a pure, sound optimisation with no
@@ -30,17 +30,35 @@ type outcome =
   | Planned of { levels : int; sites : int }
   | Unplannable of string
 
-val plan : ?region_sids:int list -> Ast.program -> Ir.plan
-(** [plan ~region_sids p] typechecks [p] and builds fast-loop plans for
-    every plannable [for] nest, keyed by the root [For] statement id.
-    Loops whose body contains a statement in [region_sids] (observation
-    regions / [trace_aliases] footprints) are not planned, since region
-    tracking needs per-statement granularity; the guard additionally
-    refuses to run while any region is active.  Inner loops of a planned
-    nest also get independent entries of their own, so the compiled
-    fallback still fast-paths them when the outer guard declines.
-    Programs that fail {!Typecheck.check_program} produce an empty plan
-    (the backends reproduce the walker's dynamic behaviour instead). *)
+val plan :
+  ?region_sids:int list ->
+  ?tracked:bool ->
+  ?on_ill_typed:(Loc.t -> unit) ->
+  Ast.program ->
+  Ir.plan
+(** [plan ~region_sids ~tracked p] typechecks [p] and builds fast-loop
+    plans for every plannable [for] nest, keyed by the root [For]
+    statement id.
+
+    Observation regions:
+
+    - Loops whose body contains a statement in [region_sids] ([Rstmt]
+      regions) are not planned: such a region is pushed and popped per
+      statement, which a batched nest cannot do.
+    - [tracked] (default [false]) lowers region-tracked plans for runs
+      that profile [Rfunc]/[Rstmt] regions.  Every load and store is
+      followed by a footprint mark ([Ir.TrackRd] and friends) that the
+      executor applies to each active region frame.  Hoisting and cell
+      promotion are disabled, so accesses and marks happen in walker
+      order and region footprints are exact by construction — including
+      stores guarded by a site.  Untracked plans keep both code motions.
+
+    Inner loops of a planned nest also get independent entries of their
+    own, so the compiled fallback still fast-paths them when the outer
+    guard declines.  Programs that fail {!Typecheck.check_program}
+    produce an empty plan (the backends reproduce the walker's dynamic
+    behaviour instead); [on_ill_typed] is then called with the location
+    of every [for] statement, so callers can report the miss. *)
 
 val plan_report :
   ?region_sids:int list -> Ast.program -> (Loc.t * outcome) list

@@ -106,6 +106,40 @@ let full_config (p : Ast.program) =
       @ List.map (fun s -> Machine.Rstmt s) sids;
   }
 
+(* what the flow's dynamic analyses ask of a run: loop profiles, alias
+   tracing and whole-function regions, without the per-statement [Rstmt]
+   regions of [full_config], which keep nests off the planned path *)
+let flow_config (p : Ast.program) =
+  {
+    Machine.default_config with
+    profile_loops = true;
+    trace_aliases = true;
+    regions = List.map (fun f -> Machine.Rfunc f.Ast.fname) (Ast.funcs p);
+  }
+
+(* the profile lists exactly as returned, order included: the VM creates
+   loop accumulators and region footprints in the walker's first-touch
+   order, so not even the Hashtbl-fold order of the lists may differ *)
+let raw_profiles config p backend =
+  let r = Machine.run ~config ~backend p in
+  (r.Machine.loop_stats, r.Machine.region_stats)
+
+let agree_flow p =
+  let config = flow_config p in
+  agree ~config p && raw_profiles config p `Ast = raw_profiles config p `Vm
+
+(* statements one VM run executed on the planned path, and in all *)
+let planned_of config p =
+  let before = Machine.planned_steps () in
+  let r = Machine.run ~config ~backend:`Vm p in
+  (Machine.planned_steps () - before, r.Machine.counters.Counters.steps)
+
+let loop_sids p =
+  List.map (fun (lm : Query.loop_match) -> lm.Query.lm_stmt.Ast.sid) (Query.loops p)
+
+let loop_locs p =
+  List.map (fun (lm : Query.loop_match) -> lm.Query.lm_stmt.Ast.sloc) (Query.loops p)
+
 (* ---- the five suite applications ---- *)
 
 let test_suite_apps () =
@@ -524,14 +558,182 @@ let test_nest_budget_bail_parity () =
     (List.concat_map
        (fun d -> [ (total / 4) + d; (total / 2) + d; total + d ])
        [ -2; -1; 0; 1 ]);
-  (* profiled, the nest bails to the closure path pre-effect: same sweep *)
+  (* fully profiled, [Rstmt] regions keep the nest off the planned path;
+     flow-shaped, the nest runs planned with derived loop profiles and
+     region footprints, and its budget bail is still pre-effect *)
   List.iter
     (fun max_steps ->
       let config = { (full_config p) with max_steps } in
       check
         (Printf.sprintf "nest budget %d (profiled)" max_steps)
+        true (agree ~config p);
+      let config = { (flow_config p) with max_steps } in
+      check
+        (Printf.sprintf "nest budget %d (flow-shaped)" max_steps)
         true (agree ~config p))
     [ 10; 50; (total / 2) + 1; total - 1; total + 50 ]
+
+(* ---- profiled nests and region-tracked plans ---- *)
+
+let test_nest_flow_profiled_planned () =
+  (* the three-level nest with both sites runs planned under the flow's
+     profiling: per-level loop_stats are derived, not re-executed *)
+  let p = parse nest_src in
+  check "flow-shaped profiles agree, order included" true (agree_flow p);
+  let planned, total = planned_of (flow_config p) p in
+  check "flow-shaped step coverage >= 0.9" true
+    (float_of_int planned >= 0.9 *. float_of_int total)
+
+(* inside a region: a strip-mined copy whose store is guarded by a site
+   (only the guarded elements count as written), reads after writes (not
+   read-first), and a never-taken arm over invariant cells (d stored, e
+   only read) that must leave no footprint at all *)
+let region_src =
+  {|
+const int N = 42;
+void knl(double* a, double* b, double* c, double* d, double* e, int n) {
+  for (int t = 0; t < n; t += 4) {
+    for (int k = 0; k < 4; k++) {
+      if (t + k < n) { b[t + k] = a[t + k] * 2.0; }
+    }
+  }
+  for (int i = 0; i < n; i++) {
+    c[i] = 1.0;
+    c[i] += b[i] + a[(i * 3) % n];
+  }
+  for (int i = 0; i < n; i++) {
+    if (a[i] > 100.0) { d[0] = a[i] + e[0]; }
+  }
+}
+int main() {
+  double a[44];
+  double b[44];
+  double c[N];
+  double d[1];
+  double e[1];
+  for (int i = 0; i < 44; i++) { a[i] = (double)i; b[i] = 0.0; }
+  for (int i = 0; i < N; i++) { c[i] = 0.0; }
+  d[0] = 0.0;
+  e[0] = 1.0;
+  knl(a, b, c, d, e, N);
+  double s = 0.0;
+  for (int i = 0; i < N; i++) { s += b[i] + c[i]; }
+  print_float(s);
+  return 0;
+}|}
+
+let test_region_site_guarded_store () =
+  let p = parse region_src in
+  check "flow-shaped profiles agree, order included" true (agree_flow p);
+  let config = flow_config p in
+  let planned, total = planned_of config p in
+  check "region nests run planned" true
+    (float_of_int planned >= 0.9 *. float_of_int total);
+  let r = Machine.run ~config ~backend:`Vm p in
+  match Machine.find_region_stats r (Machine.Rfunc "knl") with
+  | None -> Alcotest.fail "knl region missing"
+  | Some rs ->
+    let find name =
+      List.find_opt (fun (t : Machine.array_traffic) -> t.Machine.at_name = name)
+        rs.Machine.rs_traffic
+    in
+    let traffic name =
+      match find name with
+      | Some t -> (t.Machine.at_read_elems, t.Machine.at_written_elems)
+      | None -> Alcotest.fail ("no traffic for " ^ name)
+    in
+    check "d and e never touched" true (find "d" = None && find "e" = None);
+    Alcotest.(check (pair int int)) "a: 42 read, none written" (42, 0) (traffic "a");
+    Alcotest.(check (pair int int)) "b: only the guarded 42 written" (0, 42) (traffic "b");
+    Alcotest.(check (pair int int)) "c: written before read" (0, 42) (traffic "c")
+
+let zero_trip_src =
+  {|
+int main() {
+  int m = 0;
+  double acc = 0.0;
+  for (int i = 0; i < 40; i++) {
+    for (int j = 0; j < m; j++) {
+      for (int k = 0; k < 3; k++) { acc += (double)k; }
+    }
+    for (int j = 0; j < 2; j++) {
+      if (i > 50) {
+        for (int k = 0; k < 3; k++) { acc += 1.0; }
+      }
+      if (i % 4 == 0) {
+        for (int k = 0; k < 2; k++) { acc += 2.0; }
+      }
+      acc += 0.5;
+    }
+  }
+  print_float(acc);
+  return 0;
+}|}
+
+let test_zero_trip_levels_profiled () =
+  (* a zero-trip level is entered but never iterates; the levels inside
+     it, and a level under a never-taken site, are never entered and must
+     get no loop_stats entry, as on the closure path.  A level under a
+     site is entered once per taken then-arm. *)
+  let p = parse zero_trip_src in
+  check "flow-shaped profiles agree, order included" true (agree_flow p);
+  let config = flow_config p in
+  let planned, total = planned_of config p in
+  check "nest runs planned" true (float_of_int planned >= 0.9 *. float_of_int total);
+  let r = Machine.run ~config ~backend:`Vm p in
+  match loop_sids p with
+  | [ outer; zero_trip; under_zero; second; under_site; under_taken ] ->
+    let entries sid =
+      Option.map
+        (fun (ls : Machine.loop_stats) -> (ls.Machine.ls_entries, ls.Machine.ls_iterations))
+        (Machine.find_loop_stats r sid)
+    in
+    let opt = Alcotest.(option (pair int int)) in
+    Alcotest.check opt "outer" (Some (1, 40)) (entries outer);
+    Alcotest.check opt "zero-trip level" (Some (40, 0)) (entries zero_trip);
+    Alcotest.check opt "inside the zero-trip level" None (entries under_zero);
+    Alcotest.check opt "second level" (Some (40, 80)) (entries second);
+    Alcotest.check opt "under a never-taken site" None (entries under_site);
+    Alcotest.check opt "under a site taken 20 times" (Some (20, 40))
+      (entries under_taken)
+  | _ -> Alcotest.fail "expected six loops"
+
+let test_untracked_plan_bails () =
+  (* a plan lowered without footprint marks must not run while a region
+     is active: it bails, by name, to the closure path *)
+  let p = parse region_src in
+  let config = flow_config p in
+  let reference = run_backend `Ast config p in
+  let r = Compile.run ~plan:(Ir_lower.plan p) config p in
+  check "untracked plan falls back exactly" true
+    (outcomes_equal reference (Completed (observe r)));
+  let knl_loop = List.hd (loop_locs p) in
+  check "bail recorded as untracked" true
+    (List.mem (knl_loop, "untracked") (Machine.plan_bail_sites ()))
+
+let test_ill_typed_bail () =
+  (* a float buffer forwarded through a double* parameter, as a launch
+     function with undemoted parameters once did: the backends run it
+     alike, but the typechecker rejects it, so nothing is planned — and
+     that is reported *)
+  let p =
+    parse
+      {|
+void body(float* a, int i) { a[i] = a[i] * 2.0f; }
+void launch(double* a, int n) { for (int i = 0; i < n; i++) { body(a, i); } }
+int main() {
+  float x[4];
+  for (int i = 0; i < 4; i++) { x[i] = 1.5f; }
+  launch(x, 4);
+  print_float((double)x[0]);
+  return 0;
+}|}
+  in
+  check "program is ill-typed" true (Typecheck.check_program p <> Ok ());
+  check "backends agree" true (agree p);
+  let bails = Machine.plan_bail_sites () in
+  check "every loop recorded as ill-typed" true
+    (List.for_all (fun loc -> List.mem (loc, "ill-typed") bails) (loop_locs p))
 
 (* ---- random-program differential property ---- *)
 
@@ -541,6 +743,25 @@ let prop_backends_agree =
     ~count:150 Test_props.arbitrary_program (fun src ->
       let p = parse src in
       agree ~config:(full_config p) p)
+
+(* flow-shaped profiling of the random kernels and of their outlined
+   hotspot (whose arrays come from outside the region, so they carry
+   traffic): loop_stats, region_stats and traffic agree bit for bit, and
+   the VM runs them planned *)
+let prop_backends_agree_flow =
+  QCheck.Test.make
+    ~name:"backends agree on random kernels (flow-shaped profiling, planned nests)"
+    ~count:150 Test_props.arbitrary_program (fun src ->
+      let p = parse src in
+      let kernel_agrees =
+        match Hotspot.detect p with
+        | [] -> true
+        | h :: _ ->
+          (match Hotspot.extract p ~sid:h.Hotspot.hs_sid ~kernel_name:"knl" with
+           | Error _ -> true
+           | Ok ex -> agree_flow ex.Hotspot.ex_program)
+      in
+      agree_flow p && kernel_agrees && fst (planned_of (flow_config p) p) > 0)
 
 (* unprofiled, the VM actually executes random nests/ifs/ternaries on the
    planned fast path instead of bailing to the closure fallback *)
@@ -570,6 +791,12 @@ let suite =
       test_fault_report_backend_invariant;
     Alcotest.test_case "nest planned coverage" `Quick test_nest_planned_coverage;
     Alcotest.test_case "nest budget-bail parity" `Quick test_nest_budget_bail_parity;
+    Alcotest.test_case "nest flow-profiled planned" `Quick test_nest_flow_profiled_planned;
+    Alcotest.test_case "region site-guarded store" `Quick test_region_site_guarded_store;
+    Alcotest.test_case "zero-trip levels profiled" `Quick test_zero_trip_levels_profiled;
+    Alcotest.test_case "untracked plan bails" `Quick test_untracked_plan_bails;
+    Alcotest.test_case "ill-typed bail" `Quick test_ill_typed_bail;
     QCheck_alcotest.to_alcotest prop_backends_agree;
+    QCheck_alcotest.to_alcotest prop_backends_agree_flow;
     QCheck_alcotest.to_alcotest prop_backends_agree_plain;
   ]

@@ -216,6 +216,22 @@ let test_engine_designs_valid () =
         r.Engine.rep_designs)
     Suite.all
 
+let test_engine_designs_typecheck () =
+  (* every design is a well-typed program: an ill-typed one gets no VM
+     plan and, emitted, would not compile (the HIP launch function once
+     kept double* parameters after its buffers were demoted) *)
+  List.iter
+    (fun (app : App.t) ->
+      let r = report app in
+      List.iter
+        (fun (d : Design.t) ->
+          check
+            (Printf.sprintf "%s %s typechecks" app.app_slug (Target.short d.Design.d_target))
+            true
+            (Typecheck.check_program d.Design.d_program = Ok ()))
+        r.Engine.rep_designs)
+    Suite.all
+
 let test_engine_rush_larsen_fpga_infeasible () =
   let r = report Rush_larsen.app in
   List.iter
@@ -683,6 +699,7 @@ let suite =
     Alcotest.test_case "psa missing facts" `Quick test_psa_missing_facts;
     Alcotest.test_case "engine uninformed counts" `Slow test_engine_uninformed_counts;
     Alcotest.test_case "engine designs valid" `Slow test_engine_designs_valid;
+    Alcotest.test_case "engine designs typecheck" `Slow test_engine_designs_typecheck;
     Alcotest.test_case "engine rush larsen fpga n/a" `Slow test_engine_rush_larsen_fpga_infeasible;
     Alcotest.test_case "engine rush larsen keeps DP" `Slow test_engine_rush_larsen_keeps_dp;
     Alcotest.test_case "engine informed single branch" `Slow test_engine_informed_single_branch;
