@@ -30,6 +30,9 @@
    - the current vm-backend throughput must be at least 3x the current
      compiled-backend throughput (the superinstruction VM's reason to
      exist on the DSE hot path);
+   - the VM's throughput on the float-demoted apps ("vm_sp") must be at
+     least [vm_sp_floor] of its throughput on the double originals
+     ("vm"), measured within the same run;
    - per-app VM step coverage ("vm_coverage": planned statements / total
      statements on the evaluation workloads) must hold absolute floors on
      the loop-nest apps — AdPredictor >= 0.9, K-Means >= 0.9, N-Body >=
@@ -210,6 +213,12 @@ let flow_coverage_floors =
     ("Rush Larsen ODE Solver", 0.95);
     ("Bezier Surface Generation", 0.96)
   ]
+
+(* floor on vm_sp / vm.  Quick single-rep runs on a 2-core host
+   measured 0.52-0.79 (median 0.62) with single-precision demotion
+   inlined and fused, against 0.25-0.40 before; the floor sits between
+   the two, so losing the single-precision fast path fails the gate *)
+let vm_sp_floor = 0.45
 
 let failures = ref 0
 
@@ -438,6 +447,18 @@ let run_regressions current_path baseline_path =
        report "vm backend only %.2fx the compiled backend (needs >= 3x)" ratio
      else
        Printf.printf "ok    vm backend %.2fx the compiled backend (>= 3x)\n" ratio
+   | _ -> ());
+  (* single-precision parity: the float-demoted apps keep most of the
+     VM's speed, again within one run *)
+  (match List.assoc_opt "vm" cur_tp, List.assoc_opt "vm_sp" cur_tp with
+   | Some cur_vm, Some cur_vm_sp when cur_vm > 0.0 ->
+     let ratio = cur_vm_sp /. cur_vm in
+     if ratio < vm_sp_floor then
+       report "vm on float-demoted apps only %.2fx its double throughput (needs >= %.2f)"
+         ratio vm_sp_floor
+     else
+       Printf.printf "ok    vm on float-demoted apps %.2fx its double throughput (>= %.2f)\n"
+         ratio vm_sp_floor
    | _ -> ());
   (* VM step coverage: absolute floors on the loop-nest apps ... *)
   let cur_cov =

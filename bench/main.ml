@@ -356,10 +356,20 @@ let run_interp_throughput () =
         (app.App.app_name, config, App.program app))
       Suite.all
   in
-  (* per-app (planned, total) statements of the Vm leg; coverage is
-     deterministic, so accumulating across reps leaves the ratio exact *)
+  (* the same workloads demoted to single precision in every function, as
+     the flow's GPU and FPGA branches demote their kernels *)
+  let sp_inputs =
+    List.map
+      (fun (name, config, p) ->
+        let fnames = List.map (fun f -> f.Ast.fname) (Ast.funcs p) in
+        (name, config, Sp_transforms.apply_all p ~fnames))
+      inputs
+  in
+  (* per-app (planned, total) statements of the Vm leg over [inputs];
+     coverage is deterministic, so accumulating across reps leaves the
+     ratio exact *)
   let cov : (string, int * int) Hashtbl.t = Hashtbl.create 8 in
-  let measure backend =
+  let measure ?(record_cov = false) inputs backend =
     let steps = ref 0 in
     let t0 = Obs.Monotonic.now_s () in
     for _ = 1 to reps do
@@ -369,7 +379,7 @@ let run_interp_throughput () =
           let r = Machine.run ~config ~backend p in
           let run_steps = r.Machine.counters.Counters.steps in
           steps := !steps + run_steps;
-          if backend = `Vm then begin
+          if record_cov then begin
             let planned, total =
               Option.value (Hashtbl.find_opt cov name) ~default:(0, 0)
             in
@@ -381,10 +391,12 @@ let run_interp_throughput () =
     let dt = Obs.Monotonic.now_s () -. t0 in
     (float_of_int !steps /. dt, !steps)
   in
-  let ast_sps, steps = measure `Ast in
-  let compiled_sps, _ = measure `Compiled in
-  let vm_sps, _ = measure `Vm in
-  throughput := [ ("ast", ast_sps); ("compiled", compiled_sps); ("vm", vm_sps) ];
+  let ast_sps, steps = measure inputs `Ast in
+  let compiled_sps, _ = measure inputs `Compiled in
+  let vm_sps, _ = measure ~record_cov:true inputs `Vm in
+  let vm_sp_sps, _ = measure sp_inputs `Vm in
+  throughput :=
+    [ ("ast", ast_sps); ("compiled", compiled_sps); ("vm", vm_sps); ("vm_sp", vm_sp_sps) ];
   vm_coverage :=
     List.filter_map
       (fun (name, _, _) ->
@@ -404,6 +416,10 @@ let run_interp_throughput () =
     [ "vm (superinstructions)";
       Printf.sprintf "%.2e" vm_sps;
       Printf.sprintf "%.2fx" (vm_sps /. ast_sps) ];
+  Util.Table.add_row table
+    [ "vm, float-demoted apps";
+      Printf.sprintf "%.2e" vm_sp_sps;
+      Printf.sprintf "%.2fx" (vm_sp_sps /. ast_sps) ];
   print_newline ();
   Printf.printf
     "Interpreter throughput - five suite apps, evaluation workloads, %d rep%s (%d statements/run)\n"

@@ -1347,7 +1347,7 @@ let compile ?(plan : Ir.plan = Hashtbl.create 0) (cfg : config) (p : program) :
     cp_entry_name = cfg.entry;
   }
 
-let run ?plan (config : config) (p : program) : result =
+let run_typed ?plan (config : config) (p : program) : result =
   let cp = compile ?plan config p in
   let st = make_state config p in
   List.iter (fun init -> init st) cp.cp_ginits;
@@ -1360,3 +1360,16 @@ let run ?plan (config : config) (p : program) : result =
         expects;
     let ret = invoke st cf empty_frame in
     assemble_result st ret
+
+(* The closures specialise on static types, so a program that fails the
+   typechecker runs on the walker, the only backend that reproduces its
+   dynamic behaviour (a [float*] parameter bound to a [double] array keeps
+   double arithmetic there).  A [plan] comes from [Ir_lower.plan], which
+   only returns one for a program that typechecks, so a well-typed VM run
+   pays no second check. *)
+let run ?plan (config : config) (p : program) : result =
+  match plan with
+  | Some plan -> run_typed ~plan config p
+  | None ->
+    if Typecheck.check_program p = Ok () then run_typed config p
+    else Walker.run config p

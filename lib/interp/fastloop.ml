@@ -24,6 +24,21 @@ open Interp_rt
 (* Where an external name lives in the enclosing compiled function. *)
 type source = Slot of int | Global of Value.t ref
 
+(* Single-precision demotion without allocation or a C call: a store to
+   and a load from a one-element float32 Bigarray compile inline to the
+   narrowing and widening conversions ([cvtsd2ss]/[cvtss2sd] on x86-64),
+   which round exactly like [Ir.demote]'s Int32 round trip.  Each
+   [prepared] owns its scratch: it belongs to one [Compile.run], which
+   never leaves its domain, whereas a buffer shared between domains
+   would race. *)
+type f32 = (float, Bigarray.float32_elt, Bigarray.c_layout) Bigarray.Array1.t
+
+let f32_scratch () : f32 = Bigarray.Array1.create Bigarray.float32 Bigarray.c_layout 1
+
+let[@inline] demote (s : f32) x =
+  Bigarray.Array1.unsafe_set s 0 x;
+  Bigarray.Array1.unsafe_get s 0
+
 type prepared = {
   fl : Ir.fast_loop;
   index_slot : int;
@@ -32,6 +47,7 @@ type prepared = {
   (* register files and per-entry scratch, reused across entries *)
   f : float array;
   n : int array;
+  f32 : f32;  (* demotion scratch *)
   (* nest shape caches *)
   iregs : int array;  (* per level: index register or -1 *)
   simple : Ir.fop array option;
@@ -240,6 +256,7 @@ let prepare (fl : Ir.fast_loop) ~(index_slot : int)
         arr_srcs;
         f = Array.make (max 1 fl.Ir.fl_nf) 0.0;
         n = Array.make (max 1 fl.Ir.fl_ni) 0;
+        f32 = f32_scratch ();
         iregs =
           Array.map
             (fun (l : Ir.level) ->
@@ -475,7 +492,7 @@ let oob p (a : int) (idx : int) (loc : Loc.t) =
    runtime checks left are the ones the source semantics demand: checked
    accesses and integer division by zero. *)
 let exec p st (ops : Ir.fop array) =
-  let f = p.f and n = p.n in
+  let f = p.f and n = p.n and w = p.f32 in
   let len = Array.length ops in
   for k = 0 to len - 1 do
     match Array.unsafe_get ops k with
@@ -487,16 +504,16 @@ let exec p st (ops : Ir.fop array) =
     | Ir.FtoI (d, a) -> n.(d) <- int_of_float f.(a)
     | Ir.FtoB (d, a) -> n.(d) <- (if f.(a) <> 0.0 then 1 else 0)
     | Ir.ItoB (d, a) -> n.(d) <- (if n.(a) <> 0 then 1 else 0)
-    | Ir.FDem (d, a) -> f.(d) <- Value.demote f.(a)
+    | Ir.FDem (d, a) -> f.(d) <- demote w f.(a)
     | Ir.FAdd (d, a, b) -> f.(d) <- f.(a) +. f.(b)
     | Ir.FSub (d, a, b) -> f.(d) <- f.(a) -. f.(b)
     | Ir.FMul (d, a, b) -> f.(d) <- f.(a) *. f.(b)
     | Ir.FDiv (d, a, b) -> f.(d) <- f.(a) /. f.(b)
     | Ir.FNeg (d, a) -> f.(d) <- -.f.(a)
-    | Ir.FAddS (d, a, b) -> f.(d) <- Value.demote (f.(a) +. f.(b))
-    | Ir.FSubS (d, a, b) -> f.(d) <- Value.demote (f.(a) -. f.(b))
-    | Ir.FMulS (d, a, b) -> f.(d) <- Value.demote (f.(a) *. f.(b))
-    | Ir.FDivS (d, a, b) -> f.(d) <- Value.demote (f.(a) /. f.(b))
+    | Ir.FAddS (d, a, b) -> f.(d) <- demote w (f.(a) +. f.(b))
+    | Ir.FSubS (d, a, b) -> f.(d) <- demote w (f.(a) -. f.(b))
+    | Ir.FMulS (d, a, b) -> f.(d) <- demote w (f.(a) *. f.(b))
+    | Ir.FDivS (d, a, b) -> f.(d) <- demote w (f.(a) /. f.(b))
     | Ir.IAdd (d, a, b) -> n.(d) <- n.(a) + n.(b)
     | Ir.ISub (d, a, b) -> n.(d) <- n.(a) - n.(b)
     | Ir.IMul (d, a, b) -> n.(d) <- n.(a) * n.(b)
@@ -542,13 +559,13 @@ let exec p st (ops : Ir.fop array) =
       n.(d) <- (if r then 1 else 0)
     | Ir.INot (d, a) -> n.(d) <- (if n.(a) <> 0 then 0 else 1)
     | Ir.FMath1 (m, d, a) -> f.(d) <- m1 m f.(a)
-    | Ir.FMath1S (m, d, a) -> f.(d) <- Value.demote (m1 m f.(a))
+    | Ir.FMath1S (m, d, a) -> f.(d) <- demote w (m1 m f.(a))
     | Ir.FMath2 (m, d, a, b) -> f.(d) <- m2 m f.(a) f.(b)
-    | Ir.FMath2S (m, d, a, b) -> f.(d) <- Value.demote (m2 m f.(a) f.(b))
+    | Ir.FMath2S (m, d, a, b) -> f.(d) <- demote w (m2 m f.(a) f.(b))
     | Ir.Rand d -> f.(d) <- Util.Prng.uniform st.prng
     | Ir.FLd (d, c) -> f.(d) <- p.cfdata.(c).(p.cpos.(c))
     | Ir.FSt (c, s) -> p.cfdata.(c).(p.cpos.(c)) <- f.(s)
-    | Ir.FStDem (c, s) -> p.cfdata.(c).(p.cpos.(c)) <- Value.demote f.(s)
+    | Ir.FStDem (c, s) -> p.cfdata.(c).(p.cpos.(c)) <- demote w f.(s)
     | Ir.ILd (d, c) -> n.(d) <- p.cidata.(c).(p.cpos.(c))
     | Ir.ISt (c, s) -> p.cidata.(c).(p.cpos.(c)) <- n.(s)
     | Ir.IStB (c, s) -> p.cidata.(c).(p.cpos.(c)) <- (if n.(s) <> 0 then 1 else 0)
@@ -559,7 +576,7 @@ let exec p st (ops : Ir.fop array) =
     | Ir.FStCk (a, i, s, loc) ->
       let idx = p.aoff.(a) + n.(i) in
       if idx < 0 || idx >= p.alen.(a) then oob p a idx loc;
-      p.afdata.(a).(idx) <- (if p.adem.(a) then Value.demote f.(s) else f.(s))
+      p.afdata.(a).(idx) <- (if p.adem.(a) then demote w f.(s) else f.(s))
     | Ir.ILdCk (d, a, i, loc) ->
       let idx = p.aoff.(a) + n.(i) in
       if idx < 0 || idx >= p.alen.(a) then oob p a idx loc;
@@ -577,6 +594,26 @@ let exec p st (ops : Ir.fop array) =
     | Ir.FMulAdd (d, a, b, c) -> f.(d) <- (f.(a) *. f.(b)) +. f.(c)
     | Ir.FAddMul (d, c, a, b) -> f.(d) <- f.(c) +. (f.(a) *. f.(b))
     | Ir.FSubMul (d, c, a, b) -> f.(d) <- f.(c) -. (f.(a) *. f.(b))
+    | Ir.FLdSubS (d, c, b) -> f.(d) <- demote w (p.cfdata.(c).(p.cpos.(c)) -. f.(b))
+    | Ir.FLdSub2S (d, c1, c2) ->
+      f.(d) <-
+        demote w (p.cfdata.(c1).(p.cpos.(c1)) -. p.cfdata.(c2).(p.cpos.(c2)))
+    | Ir.FLdMulS (d, c, b) -> f.(d) <- demote w (p.cfdata.(c).(p.cpos.(c)) *. f.(b))
+    | Ir.FLdAddS (d, c, b) -> f.(d) <- demote w (p.cfdata.(c).(p.cpos.(c)) +. f.(b))
+    | Ir.FMulAddS (d, a, b, c) ->
+      f.(d) <- demote w (demote w (f.(a) *. f.(b)) +. f.(c))
+    | Ir.FAddMulS (d, c, a, b) ->
+      f.(d) <- demote w (f.(c) +. demote w (f.(a) *. f.(b)))
+    | Ir.FSubMulS (d, c, a, b) ->
+      f.(d) <- demote w (f.(c) -. demote w (f.(a) *. f.(b)))
+    | Ir.FRecipS (d, a) -> f.(d) <- demote w (1.0 /. f.(a))
+    | Ir.FRsqrtS (d, a) -> f.(d) <- demote w (1.0 /. demote w (sqrt f.(a)))
+    | Ir.FAccStS (c, s) ->
+      let q = p.cfdata.(c) and i = p.cpos.(c) in
+      q.(i) <- demote w (q.(i) +. f.(s))
+    | Ir.FMulAccStS (c, a, b) ->
+      let q = p.cfdata.(c) and i = p.cpos.(c) in
+      q.(i) <- demote w (q.(i) +. demote w (f.(a) *. f.(b)))
     | Ir.FRecip (d, a) -> f.(d) <- 1.0 /. f.(a)
     | Ir.FRsqrt (d, a) -> f.(d) <- 1.0 /. sqrt f.(a)
     | Ir.FAccSt (c, s) ->
@@ -711,7 +748,11 @@ let attempt p st (fr : Value.t array) (acc : loop_acc) =
     match v.Ir.v_kind, read_src fr p.var_srcs.(k) with
     | Ir.Kint, Value.Vint x -> p.n.(v.Ir.v_reg) <- x
     | Ir.Kbool, Value.Vbool b -> p.n.(v.Ir.v_reg) <- (if b then 1 else 0)
-    | Ir.Kfloat _, Value.Vfloat (_, x) -> p.f.(v.Ir.v_reg) <- x
+    (* a [Psingle] register only ever holds a single-representable
+       value (the [Ir.prec] invariant), so only an Sp value may seed it *)
+    | Ir.Kfloat Ir.Psingle, Value.Vfloat (Value.Sp, x)
+    | Ir.Kfloat Ir.Pdouble, Value.Vfloat (_, x) ->
+      p.f.(v.Ir.v_reg) <- x
     | _ -> raise (Bail "binding")
   done;
   (* 2. trip counts: every level is [for i = lo; i </<= hi; i += step]

@@ -66,7 +66,7 @@ type backend = [ `Ast | `Compiled | `Vm ]
 
 (* Bump when observable interpreter semantics change; memoization keys
    include this so stale cached results are never replayed. *)
-let interp_version = 2
+let interp_version = 3
 
 let backend_name = function `Ast -> "ast" | `Compiled -> "compiled" | `Vm -> "vm"
 

@@ -66,7 +66,9 @@ type result = Interp_rt.result = {
     step/counter accounting; [`Compiled] lowers the AST to OCaml closures in
     a one-shot pass before execution (slot-indexed frames, pre-resolved
     calls, block-batched step counting); [`Ast] is the reference
-    tree-walker.  All three produce bit-identical observables. *)
+    tree-walker.  All three produce bit-identical observables: a program
+    that fails typechecking runs on the tree-walker under every backend,
+    since the other two specialise on static types. *)
 type backend = [ `Ast | `Compiled | `Vm ]
 
 val interp_version : int
@@ -115,7 +117,8 @@ val plan_bail_sites : unit -> (Loc.t * string) list
     - ["untracked"]: regions were active but the plan carries no
       footprint marks (it was lowered for a region-free config);
     - ["ill-typed"]: the program failed typechecking, so none of its
-      loops was planned (recorded per [for] statement).
+      loops was planned and it ran on the tree-walker (recorded per
+      [for] statement).
 
     Multi-level nests under [profile_loops] and nests inside active
     regions run planned: per-level loop profiles are derived from the

@@ -34,7 +34,7 @@ let truth = function
   | Vfloat (_, f) -> f <> 0.0
   | Vptr _ -> invalid_arg "Value.truth: pointer"
 
-let demote f = Int32.float_of_bits (Int32.bits_of_float f)
+let demote = Ir.demote
 
 let prec_of_ty = function
   | Ast.Tfloat -> Sp

@@ -28,7 +28,7 @@ val truth : t -> bool
 (** C truthiness of bools and ints. *)
 
 val demote : float -> float
-(** Round a float to single precision (through 32-bit representation). *)
+(** Round a float to single precision: {!Ir.demote}. *)
 
 val coerce : Ast.ty -> t -> t
 (** Convert a value to the representation of the given scalar type,

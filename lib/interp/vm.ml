@@ -8,10 +8,11 @@
 
    Runs that profile regions get region-tracked plans, whose accesses mark
    the active frames' footprints; [Rstmt] statements stay unplanned.  An
-   ill-typed program gets no plan at all, which is recorded as an
-   ["ill-typed"] bail site so the miss shows up in [--explain]. *)
+   ill-typed program gets no plan at all and runs on the walker, which is
+   recorded as an ["ill-typed"] bail site so the miss shows up in
+   [--explain]. *)
 
-let plan_of (cfg : Interp_rt.config) (p : Ast.program) : Ir.plan =
+let plan_of (cfg : Interp_rt.config) (p : Ast.program) : Ir.plan option =
   let region_sids =
     List.filter_map
       (function Interp_rt.Rstmt sid -> Some sid | Interp_rt.Rfunc _ -> None)
@@ -22,4 +23,4 @@ let plan_of (cfg : Interp_rt.config) (p : Ast.program) : Ir.plan =
     p
 
 let run (config : Interp_rt.config) (p : Ast.program) : Interp_rt.result =
-  Compile.run ~plan:(plan_of config p) config p
+  Compile.run ?plan:(plan_of config p) config p

@@ -1,4 +1,6 @@
-let version = 3
+let version = 4
+
+let demote f = Int32.float_of_bits (Int32.bits_of_float f)
 
 type prec = Psingle | Pdouble
 
@@ -77,6 +79,17 @@ type fop =
   | FMulAdd of int * int * int * int
   | FAddMul of int * int * int * int
   | FSubMul of int * int * int * int
+  | FLdSubS of int * int * int
+  | FLdSub2S of int * int * int
+  | FLdMulS of int * int * int
+  | FLdAddS of int * int * int
+  | FMulAddS of int * int * int * int
+  | FAddMulS of int * int * int * int
+  | FSubMulS of int * int * int * int
+  | FRecipS of int * int
+  | FRsqrtS of int * int
+  | FAccStS of int * int
+  | FMulAccStS of int * int * int
   | FRecip of int * int
   | FRsqrt of int * int
   | FAccSt of int * int

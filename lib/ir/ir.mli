@@ -24,9 +24,24 @@ val version : int
 
 (** {1 Scalar bindings} *)
 
+val demote : float -> float
+(** Round a double to the nearest single-precision value (IEEE
+    round-to-nearest-even, NaN payloads narrowed as the hardware
+    conversion does) and widen it back.  The one definition of
+    single-precision rounding: the interpreters' [Value.demote] is this
+    function, the lowering folds [f]-suffixed literals with it, and the
+    VM's allocation-free demotion is tested bit for bit against it. *)
+
 (** Floating-point precision of a register or operation.  Single-precision
-    results are demoted through a 32-bit round trip exactly like
-    [Value.demote]. *)
+    results are rounded exactly like {!demote}.
+
+    Invariant: a [Psingle] register only ever holds a single-representable
+    value ({!demote} is the identity on it).  Every op that writes a
+    [Psingle] result demotes it, [f]-suffixed literals are folded through
+    {!demote}, [float] arrays only hold demoted values, and the runtime
+    guard binds a [Kfloat Psingle] variable only from a single-precision
+    value.  Since demotion is idempotent, the lowering may therefore move
+    or store a [Psingle] operand without demoting it again. *)
 type prec = Psingle | Pdouble
 
 (** Static kind of an external scalar variable captured by a loop.
@@ -89,7 +104,9 @@ type cmpop = Clt | Cle | Cgt | Cge | Ceq | Cne
     (each modelled as one integer op, like the walker).  The fused
     superinstructions at the end collapse the opcode pairs that dominate
     the suite's counter profile (load-sub, mul-add chains, and
-    read-modify-write accumulations). *)
+    read-modify-write accumulations); their [...S] twins are exactly the
+    unfused single-precision sequence, demoting after each arithmetic
+    step. *)
 type fop =
   (* constants and moves *)
   | FConst of int * float
@@ -153,6 +170,22 @@ type fop =
   | FMulAdd of int * int * int * int  (** [(d, a, b, c)]: d <- a *. b +. c *)
   | FAddMul of int * int * int * int  (** [(d, c, a, b)]: d <- c +. a *. b *)
   | FSubMul of int * int * int * int  (** [(d, c, a, b)]: d <- c -. a *. b *)
+  | FLdSubS of int * int * int  (** dst <- demote (farray(cur) -. freg) *)
+  | FLdSub2S of int * int * int
+      (** dst <- demote (farray(cur1) -. farray(cur2)) *)
+  | FLdMulS of int * int * int  (** dst <- demote (farray(cur) *. freg) *)
+  | FLdAddS of int * int * int  (** dst <- demote (farray(cur) +. freg) *)
+  | FMulAddS of int * int * int * int
+      (** [(d, a, b, c)]: d <- demote (demote (a *. b) +. c) *)
+  | FAddMulS of int * int * int * int
+      (** [(d, c, a, b)]: d <- demote (c +. demote (a *. b)) *)
+  | FSubMulS of int * int * int * int
+      (** [(d, c, a, b)]: d <- demote (c -. demote (a *. b)) *)
+  | FRecipS of int * int  (** d <- demote (1.0 /. a) *)
+  | FRsqrtS of int * int  (** d <- demote (1.0 /. demote (sqrt a)) *)
+  | FAccStS of int * int  (** farray(cur) <- demote (farray(cur) +. freg) *)
+  | FMulAccStS of int * int * int
+      (** farray(cur) <- demote (farray(cur) +. demote (a *. b)) *)
   | FRecip of int * int  (** d <- 1.0 /. a *)
   | FRsqrt of int * int  (** d <- 1.0 /. sqrt a *)
   | FAccSt of int * int  (** farray(cur) <- farray(cur) +. freg *)

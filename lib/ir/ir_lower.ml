@@ -22,10 +22,6 @@ exception Reject of string
 
 let reject r = raise (Reject r)
 
-(* Value.demote lives in lib/interp, which depends on this library; the
-   round trip is replicated bit-for-bit. *)
-let demote32 f = Int32.float_of_bits (Int32.bits_of_float f)
-
 (* ---- invariant integer expressions ---- *)
 
 (* Smart constructors fold constants and units.  All identities hold in the
@@ -415,6 +411,16 @@ let as_truth c = function
 
 let is_dp = function Rf (_, Ir.Pdouble) -> true | _ -> false
 
+let is_sp = function Rf (_, Ir.Psingle) -> true | _ -> false
+
+(* Single-precision coercion (compile.ml's demote arms).  A [Psingle]
+   register already holds a single-representable value (the [Ir.prec]
+   invariant) and demotion is idempotent, so it is moved, not demoted
+   again. *)
+let demote_into c d = function
+  | Rf (x, Ir.Psingle) -> Ir.FMov (d, x)
+  | lr -> Ir.FDem (d, as_float c lr)
+
 let cmpop_of = function
   | Lt -> Ir.Clt
   | Le -> Ir.Cle
@@ -428,7 +434,7 @@ let rec lexpr c (e : expr) : lres =
   match e.edesc with
   | Int_lit k -> Ri (const_i c k, false)
   | Bool_lit b -> Ri (const_i c (if b then 1 else 0), true)
-  | Float_lit (x, true) -> Rf (const_f c (demote32 x), Ir.Psingle)
+  | Float_lit (x, true) -> Rf (const_f c (Ir.demote x), Ir.Psingle)
   | Float_lit (x, false) -> Rf (const_f c x, Ir.Pdouble)
   | Var v -> lvar c v
   | Unary (Neg, a) ->
@@ -747,10 +753,10 @@ and lcast c ty a : lres =
   match ty with
   | Tint -> Ri (as_int c la, false)
   | Tbool -> Ri (as_truth c la, true)
+  | Tfloat when is_sp la -> la
   | Tfloat ->
-    let x = as_float c la in
     let d = allocf c in
-    emit c (Ir.FDem (d, x));
+    emit c (demote_into c d la);
     Rf (d, Ir.Psingle)
   | Tdouble -> Rf (as_float c la, Ir.Pdouble)
   | Tptr _ | Tvoid -> reject "unsupported cast"
@@ -792,9 +798,8 @@ let ldecl c ~added (d : decl) =
       emit c (Ir.IMov (r, x));
       Ri (r, true)
     | Tfloat ->
-      let x = as_float c la in
       let r = allocf c in
-      emit c (Ir.FDem (r, x));
+      emit c (demote_into c r la);
       Rf (r, Ir.Psingle)
     | Tdouble ->
       let x = as_float c la in
@@ -839,9 +844,7 @@ let lvar_assign c (s : stmt) v op (lr : lres) =
      | Ir.Kbool ->
        let x = as_truth c lr in
        emit c (Ir.IMov (r, x))
-     | Ir.Kfloat Ir.Psingle ->
-       let x = as_float c lr in
-       emit c (Ir.FDem (r, x))
+     | Ir.Kfloat Ir.Psingle -> emit c (demote_into c r lr)
      | Ir.Kfloat Ir.Pdouble ->
        let x = as_float c lr in
        emit c (Ir.FMov (r, x)))
@@ -926,8 +929,8 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
        c.cnt.Ir.k_int_ops <- c.cnt.Ir.k_int_ops + nops;
        let cur = getcursor c aid coefs bse in
        (match ety with
-        | Ir.Efloat32 -> emit c (Ir.FStDem (cur, src))
-        | Ir.Efloat64 -> emit c (Ir.FSt (cur, src))
+        | Ir.Efloat32 when not (is_sp lr) -> emit c (Ir.FStDem (cur, src))
+        | Ir.Efloat32 | Ir.Efloat64 -> emit c (Ir.FSt (cur, src))
         | Ir.Eint -> emit c (Ir.ISt (cur, src))
         | Ir.Ebool -> emit c (Ir.IStB (cur, src)));
        track c (Ir.TrackWr cur)
@@ -959,7 +962,8 @@ let lindex_assign c (s : stmt) (lhs : expr) base idx op (lr : lres) =
                track c (Ir.TrackRd cur)),
              fun srcr ->
                emit c
-                 (if ety = Ir.Efloat32 then Ir.FStDem (cur, srcr)
+                 (if ety = Ir.Efloat32 && p = Ir.Pdouble then
+                    Ir.FStDem (cur, srcr)
                   else Ir.FSt (cur, srcr));
                track c (Ir.TrackWr cur) )
          | None ->
@@ -1106,15 +1110,16 @@ let fcounts nf ops_list =
   List.iter
     (List.iter (fun (op : Ir.fop) ->
          match op with
-         | FConst (x, _) | Rand x | FLdSub2 (x, _, _) -> d x
+         | FConst (x, _) | Rand x | FLdSub2 (x, _, _) | FLdSub2S (x, _, _) ->
+           d x
          | FMov (x, a) | FDem (x, a) | FNeg (x, a)
          | FMath1 (_, x, a) | FMath1S (_, x, a)
-         | FRecip (x, a) | FRsqrt (x, a) ->
+         | FRecip (x, a) | FRsqrt (x, a) | FRecipS (x, a) | FRsqrtS (x, a) ->
            d x;
            u a
          | ItoF (x, _) | FLd (x, _) | FLdCk (x, _, _, _) -> d x
          | FtoI (_, a) | FtoB (_, a) | FSt (_, a) | FStDem (_, a)
-         | FStCk (_, _, a, _) | FAccSt (_, a) ->
+         | FStCk (_, _, a, _) | FAccSt (_, a) | FAccStS (_, a) ->
            u a
          | FAdd (x, a, b) | FSub (x, a, b) | FMul (x, a, b) | FDiv (x, a, b)
          | FAddS (x, a, b) | FSubS (x, a, b) | FMulS (x, a, b) | FDivS (x, a, b)
@@ -1126,15 +1131,18 @@ let fcounts nf ops_list =
            (* dest is an int register; both operands are float uses *)
            u a;
            u b
-         | FLdSub (x, _, b) | FLdMul (x, _, b) | FLdAdd (x, _, b) ->
+         | FLdSub (x, _, b) | FLdMul (x, _, b) | FLdAdd (x, _, b)
+         | FLdSubS (x, _, b) | FLdMulS (x, _, b) | FLdAddS (x, _, b) ->
            d x;
            u b
-         | FMulAdd (x, a, b, e) | FAddMul (x, e, a, b) | FSubMul (x, e, a, b) ->
+         | FMulAdd (x, a, b, e) | FAddMul (x, e, a, b) | FSubMul (x, e, a, b)
+         | FMulAddS (x, a, b, e) | FAddMulS (x, e, a, b)
+         | FSubMulS (x, e, a, b) ->
            d x;
            u a;
            u b;
            u e
-         | FMulAccSt (_, a, b) ->
+         | FMulAccSt (_, a, b) | FMulAccStS (_, a, b) ->
            u a;
            u b
          | IConst _ | IMov _ | ItoB _ | IAdd _ | ISub _ | IMul _ | INeg _
@@ -1186,6 +1194,16 @@ let subst_use (op : Ir.fop) d r : Ir.fop option =
     | FMulAdd (x, a, b, e) -> FMulAdd (x, sh a, sh b, sh e)
     | FAddMul (x, e, a, b) -> FAddMul (x, sh e, sh a, sh b)
     | FSubMul (x, e, a, b) -> FSubMul (x, sh e, sh a, sh b)
+    | FLdSubS (x, cu, b) -> FLdSubS (x, cu, sh b)
+    | FLdMulS (x, cu, b) -> FLdMulS (x, cu, sh b)
+    | FLdAddS (x, cu, b) -> FLdAddS (x, cu, sh b)
+    | FMulAddS (x, a, b, e) -> FMulAddS (x, sh a, sh b, sh e)
+    | FAddMulS (x, e, a, b) -> FAddMulS (x, sh e, sh a, sh b)
+    | FSubMulS (x, e, a, b) -> FSubMulS (x, sh e, sh a, sh b)
+    | FRecipS (x, a) -> FRecipS (x, sh a)
+    | FRsqrtS (x, a) -> FRsqrtS (x, sh a)
+    | FAccStS (cu, a) -> FAccStS (cu, sh a)
+    | FMulAccStS (cu, a, b) -> FMulAccStS (cu, sh a, sh b)
     | FAccSt (cu, a) -> FAccSt (cu, sh a)
     | FMulAccSt (cu, a, b) -> FMulAccSt (cu, sh a, sh b)
     | _ -> op
@@ -1222,6 +1240,15 @@ let retarget (op : Ir.fop) d r : Ir.fop option =
   | FMulAdd (x, a, b, e) when x = d -> Some (FMulAdd (r, a, b, e))
   | FAddMul (x, e, a, b) when x = d -> Some (FAddMul (r, e, a, b))
   | FSubMul (x, e, a, b) when x = d -> Some (FSubMul (r, e, a, b))
+  | FLdSubS (x, a, b) when x = d -> Some (FLdSubS (r, a, b))
+  | FLdSub2S (x, a, b) when x = d -> Some (FLdSub2S (r, a, b))
+  | FLdMulS (x, a, b) when x = d -> Some (FLdMulS (r, a, b))
+  | FLdAddS (x, a, b) when x = d -> Some (FLdAddS (r, a, b))
+  | FMulAddS (x, a, b, e) when x = d -> Some (FMulAddS (r, a, b, e))
+  | FAddMulS (x, e, a, b) when x = d -> Some (FAddMulS (r, e, a, b))
+  | FSubMulS (x, e, a, b) when x = d -> Some (FSubMulS (r, e, a, b))
+  | FRecipS (x, a) when x = d -> Some (FRecipS (r, a))
+  | FRsqrtS (x, a) when x = d -> Some (FRsqrtS (r, a))
   | FRecip (x, a) when x = d -> Some (FRecip (r, a))
   | FRsqrt (x, a) when x = d -> Some (FRsqrt (r, a))
   | _ -> None
@@ -1260,6 +1287,39 @@ let scan_fuse ~nf ~temp ~one_regs (ops : Ir.fop list) : Ir.fop list =
     | Ir.FMul (t, a, b) :: Ir.FSub (x, p, q) :: tl
       when q = t && temp t && p <> t ->
       List.rev_append acc (Ir.FSubMul (x, p, a, b) :: tl)
+    (* single-precision twins: each fused op demotes after every
+       arithmetic step the unfused sequence demotes after *)
+    | Ir.FLd (t1, c1) :: Ir.FLd (t2, c2) :: Ir.FSubS (x, a, b) :: tl
+      when a = t1 && b = t2 && t1 <> t2 && temp t1 && temp t2 ->
+      List.rev_append acc (Ir.FLdSub2S (x, c1, c2) :: tl)
+    | Ir.FLd (t, cu) :: Ir.FAddS (x, a, b) :: Ir.FSt (cu2, r) :: tl
+      when a = t && cu2 = cu && temp t && temp x && x = r && b <> t ->
+      List.rev_append acc (Ir.FAccStS (cu, b) :: tl)
+    | Ir.FLd (t, cu) :: Ir.FSubS (x, a, b) :: tl when a = t && temp t && b <> t
+      ->
+      List.rev_append acc (Ir.FLdSubS (x, cu, b) :: tl)
+    | Ir.FLd (t, cu) :: Ir.FAddS (x, a, b) :: tl when a = t && temp t && b <> t
+      ->
+      List.rev_append acc (Ir.FLdAddS (x, cu, b) :: tl)
+    | Ir.FLd (t, cu) :: Ir.FMulS (x, a, b) :: tl when a = t && temp t && b <> t
+      ->
+      List.rev_append acc (Ir.FLdMulS (x, cu, b) :: tl)
+    | Ir.FMulS (t, a, b) :: Ir.FAddS (x, p, q) :: tl
+      when p = t && temp t && q <> t ->
+      List.rev_append acc (Ir.FMulAddS (x, a, b, q) :: tl)
+    | Ir.FMulS (t, a, b) :: Ir.FAddS (x, p, q) :: tl
+      when q = t && temp t && p <> t ->
+      List.rev_append acc (Ir.FAddMulS (x, p, a, b) :: tl)
+    | Ir.FMulS (t, a, b) :: Ir.FSubS (x, p, q) :: tl
+      when q = t && temp t && p <> t ->
+      List.rev_append acc (Ir.FSubMulS (x, p, a, b) :: tl)
+    | Ir.FMulS (t, a, b) :: Ir.FAccStS (cu, q) :: tl when q = t && temp t ->
+      List.rev_append acc (Ir.FMulAccStS (cu, a, b) :: tl)
+    | Ir.FDivS (x, o, a) :: tl when o < nf && one_regs.(o) && a <> o ->
+      List.rev_append acc (Ir.FRecipS (x, a) :: tl)
+    | Ir.FMath1S (Ir.Msqrt, t, a) :: Ir.FRecipS (x, q) :: tl
+      when q = t && temp t ->
+      List.rev_append acc (Ir.FRsqrtS (x, a) :: tl)
     | Ir.FMul (t, a, b) :: Ir.FAccSt (cu, q) :: tl when q = t && temp t ->
       List.rev_append acc (Ir.FMulAccSt (cu, a, b) :: tl)
     | Ir.FDiv (x, o, a) :: tl when o < nf && one_regs.(o) && a <> o ->
@@ -1576,77 +1636,78 @@ let decl_binding_ty (d : decl) =
 
 let plan_with ?(region_sids = []) ?(tracked = false)
     ?(on_ill_typed = fun (_ : Loc.t) -> ()) ~(note : stmt -> outcome -> unit)
-    (p : program) : Ir.plan =
-  let tbl : Ir.plan = Hashtbl.create 16 in
-  (match Typecheck.check_program p with
-   | Error _ ->
-     (* ill-typed: run everything on the reference backends; still visit
-        every loop so plan reports cover the whole program *)
-     let rec walk blk =
-       List.iter
-         (fun s ->
-           match s.sdesc with
-           | If (_, b1, b2) ->
-             walk b1;
-             walk b2
-           | While (_, b) | Scope b -> walk b
-           | For (_, b) ->
-             note s (Unplannable "ill-typed program");
-             on_ill_typed s.sloc;
-             walk b
-           | Decl _ | Assign _ | Expr_stmt _ | Return _ | Break | Continue ->
-             ())
-         blk
-     in
-     List.iter (fun f -> walk f.fbody) (funcs p)
-   | Ok () ->
-     let user_funcs = Hashtbl.create 8 in
-     List.iter (fun f -> Hashtbl.replace user_funcs f.fname ()) (funcs p);
-     let region_set = Hashtbl.create 8 in
-     List.iter (fun sid -> Hashtbl.replace region_set sid ()) region_sids;
-     let rec walk_block env blk =
-       ignore
-         (List.fold_left
-            (fun env s ->
-              match s.sdesc with
-              | Decl d -> Typecheck.bind env d.dname (decl_binding_ty d)
-              | If (_, b1, b2) ->
-                walk_block env b1;
-                walk_block env b2;
-                env
-              | While (_, b) ->
-                walk_block env b;
-                env
-              | Scope b ->
-                walk_block env b;
-                env
-              | For (h, body) ->
-                (match
-                   plan_loop ~env ~user_funcs ~region_set ~tracked s h body
-                 with
-                 | fl ->
-                   Hashtbl.replace tbl s.sid fl;
-                   note s
-                     (Planned
-                        {
-                          levels = Array.length fl.Ir.fl_levels;
-                          sites = Array.length fl.Ir.fl_sites;
-                        })
-                 | exception Reject r -> note s (Unplannable r));
-                (* inner loops also get independent plan entries so the
-                   fallback path still fast-paths them when the outer
-                   guard declines *)
-                walk_block (Typecheck.bind env h.index Tint) body;
-                env
-              | Assign _ | Expr_stmt _ | Return _ | Break | Continue -> env)
-            env blk)
-     in
-     List.iter
-       (fun f -> walk_block (Typecheck.env_for_func p f) f.fbody)
-       (funcs p));
-  tbl
+    (p : program) : Ir.plan option =
+  match Typecheck.check_program p with
+  | Error _ ->
+    (* ill-typed: no plan, the program runs on the walker; still visit
+       every loop so plan reports cover the whole program *)
+    let rec walk blk =
+      List.iter
+        (fun s ->
+          match s.sdesc with
+          | If (_, b1, b2) ->
+            walk b1;
+            walk b2
+          | While (_, b) | Scope b -> walk b
+          | For (_, b) ->
+            note s (Unplannable "ill-typed program");
+            on_ill_typed s.sloc;
+            walk b
+          | Decl _ | Assign _ | Expr_stmt _ | Return _ | Break | Continue ->
+            ())
+        blk
+    in
+    List.iter (fun f -> walk f.fbody) (funcs p);
+    None
+  | Ok () ->
+    let tbl : Ir.plan = Hashtbl.create 16 in
+    let user_funcs = Hashtbl.create 8 in
+    List.iter (fun f -> Hashtbl.replace user_funcs f.fname ()) (funcs p);
+    let region_set = Hashtbl.create 8 in
+    List.iter (fun sid -> Hashtbl.replace region_set sid ()) region_sids;
+    let rec walk_block env blk =
+      ignore
+        (List.fold_left
+           (fun env s ->
+             match s.sdesc with
+             | Decl d -> Typecheck.bind env d.dname (decl_binding_ty d)
+             | If (_, b1, b2) ->
+               walk_block env b1;
+               walk_block env b2;
+               env
+             | While (_, b) ->
+               walk_block env b;
+               env
+             | Scope b ->
+               walk_block env b;
+               env
+             | For (h, body) ->
+               (match
+                  plan_loop ~env ~user_funcs ~region_set ~tracked s h body
+                with
+                | fl ->
+                  Hashtbl.replace tbl s.sid fl;
+                  note s
+                    (Planned
+                       {
+                         levels = Array.length fl.Ir.fl_levels;
+                         sites = Array.length fl.Ir.fl_sites;
+                       })
+                | exception Reject r -> note s (Unplannable r));
+               (* inner loops also get independent plan entries so the
+                  fallback path still fast-paths them when the outer
+                  guard declines *)
+               walk_block (Typecheck.bind env h.index Tint) body;
+               env
+             | Assign _ | Expr_stmt _ | Return _ | Break | Continue -> env)
+           env blk)
+    in
+    List.iter
+      (fun f -> walk_block (Typecheck.env_for_func p f) f.fbody)
+      (funcs p);
+    Some tbl
 
-let plan ?region_sids ?tracked ?on_ill_typed (p : program) : Ir.plan =
+let plan ?region_sids ?tracked ?on_ill_typed (p : program) : Ir.plan option =
   plan_with ?region_sids ?tracked ?on_ill_typed ~note:(fun _ _ -> ()) p
 
 let plan_report ?region_sids (p : program) : (Loc.t * outcome) list =

@@ -35,7 +35,7 @@ val plan :
   ?tracked:bool ->
   ?on_ill_typed:(Loc.t -> unit) ->
   Ast.program ->
-  Ir.plan
+  Ir.plan option
 (** [plan ~region_sids ~tracked p] typechecks [p] and builds fast-loop
     plans for every plannable [for] nest, keyed by the root [For]
     statement id.
@@ -55,10 +55,12 @@ val plan :
 
     Inner loops of a planned nest also get independent entries of their
     own, so the compiled fallback still fast-paths them when the outer
-    guard declines.  Programs that fail {!Typecheck.check_program}
-    produce an empty plan (the backends reproduce the walker's dynamic
-    behaviour instead); [on_ill_typed] is then called with the location
-    of every [for] statement, so callers can report the miss. *)
+    guard declines.  Programs that fail {!Typecheck.check_program} get no
+    plan at all ([None]): the closure backend specialises on static types
+    they do not have, so they must run on the walker.  [on_ill_typed] is
+    then called with the location of every [for] statement, so callers
+    can report the miss.  A [Some] plan therefore certifies that its
+    program typechecks. *)
 
 val plan_report :
   ?region_sids:int list -> Ast.program -> (Loc.t * outcome) list

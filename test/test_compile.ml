@@ -704,7 +704,7 @@ let test_untracked_plan_bails () =
   let p = parse region_src in
   let config = flow_config p in
   let reference = run_backend `Ast config p in
-  let r = Compile.run ~plan:(Ir_lower.plan p) config p in
+  let r = Compile.run ?plan:(Ir_lower.plan p) config p in
   check "untracked plan falls back exactly" true
     (outcomes_equal reference (Completed (observe r)));
   let knl_loop = List.hd (loop_locs p) in
@@ -734,6 +734,96 @@ int main() {
   let bails = Machine.plan_bail_sites () in
   check "every loop recorded as ill-typed" true
     (List.for_all (fun loc -> List.mem (loc, "ill-typed") bails) (loop_locs p))
+
+let ill_typed_src =
+  {|
+void k(float* a, float* b) {
+  for (int i = 0; i < 16; i++) { b[i] = a[i] * 2.0f; }
+}
+int main() {
+  double a[16];
+  double b[16];
+  for (int i = 0; i < 16; i++) { a[i] = rand01() * 1.1; }
+  k(a, b);
+  double s = 0.0;
+  for (int i = 0; i < 16; i++) { s += b[i]; }
+  print_float(s);
+  return 0;
+}|}
+
+let test_ill_typed_walker_exact () =
+  (* double arrays bound to float* parameters: the walker keeps the
+     arrays' double values and multiplies at double precision (16 in the
+     kernel, 16 in the initialisation loop), where the
+     closures would specialise on the static float type; an ill-typed
+     program therefore runs on the walker under every backend *)
+  let p = parse ill_typed_src in
+  check "program is ill-typed" true (Typecheck.check_program p <> Ok ());
+  check "backends agree" true (agree p);
+  let counters backend = (Machine.run ~backend p).Machine.counters in
+  List.iter
+    (fun backend ->
+      let c = counters backend in
+      Alcotest.(check int)
+        (Machine.backend_name backend ^ " counts double multiplies")
+        32 c.Counters.flops_dp_mul;
+      Alcotest.(check int)
+        (Machine.backend_name backend ^ " counts no single multiplies")
+        0 c.Counters.flops_sp_mul)
+    [ `Ast; `Compiled; `Vm ]
+
+(* ---- VM scratch state under concurrency ---- *)
+
+(* The float-demoted designs of three apps, flow-shaped (profiled loops,
+   region-tracked plans, alias tracing), run on four domains at once,
+   several times over: each domain's runs must match a solo walker run
+   bit for bit.  VM scratch state shared between domains (a demotion
+   buffer, say) would corrupt some of them. *)
+let test_sp_designs_concurrent () =
+  let designs =
+    List.map
+      (fun slug ->
+        let app = Option.get (Suite.find slug) in
+        let p = App.program app in
+        let sp =
+          Sp_transforms.apply_all p
+            ~fnames:(List.map (fun f -> f.Ast.fname) (Ast.funcs p))
+        in
+        let config =
+          { (flow_config sp) with
+            overrides = App.machine_overrides app.App.app_test_overrides }
+        in
+        (slug, config, sp))
+      [ "nbody"; "adpredictor"; "bezier" ]
+  in
+  let solo =
+    List.map (fun (slug, config, p) -> (slug, run_backend `Ast config p)) designs
+  in
+  let rounds = 3 in
+  let domains =
+    List.init 4 (fun d ->
+        Domain.spawn (fun () ->
+            List.concat
+              (List.init rounds (fun r ->
+                   (* rotate the order so domains overlap on different apps *)
+                   let k = (d + r) mod List.length designs in
+                   let order =
+                     List.filteri (fun i _ -> i >= k) designs
+                     @ List.filteri (fun i _ -> i < k) designs
+                   in
+                   List.map
+                     (fun (slug, config, p) ->
+                       (slug, run_backend `Vm config p))
+                     order))))
+  in
+  let results = List.concat_map Domain.join domains in
+  Alcotest.(check int) "every run finished" (4 * rounds * List.length designs)
+    (List.length results);
+  List.iter
+    (fun (slug, got) ->
+      check (slug ^ " concurrent VM run equals solo walker run") true
+        (outcomes_equal (List.assoc slug solo) got))
+    results
 
 (* ---- random-program differential property ---- *)
 
@@ -770,6 +860,25 @@ let prop_backends_agree_plain =
     ~name:"backends agree on random kernels (unprofiled, planned nests)"
     ~count:150 Test_props.arbitrary_program (fun src -> agree (parse src))
 
+(* the same kernels demoted to single precision end to end, the way the
+   flow's GPU and FPGA branches demote a kernel, so the SP lowering and
+   its superinstructions run *)
+let sp_program src =
+  let p = parse src in
+  Sp_transforms.apply_all p ~fnames:(List.map (fun f -> f.Ast.fname) (Ast.funcs p))
+
+let prop_backends_agree_sp =
+  QCheck.Test.make
+    ~name:"backends agree on float-demoted random kernels (unprofiled, planned nests)"
+    ~count:150 Test_props.arbitrary_program (fun src ->
+      let p = sp_program src in
+      agree p && fst (planned_of Machine.default_config p) > 0)
+
+let prop_backends_agree_sp_flow =
+  QCheck.Test.make
+    ~name:"backends agree on float-demoted random kernels (flow-shaped profiling)"
+    ~count:100 Test_props.arbitrary_program (fun src -> agree_flow (sp_program src))
+
 let suite =
   [
     Alcotest.test_case "suite apps fully profiled" `Quick test_suite_apps;
@@ -799,4 +908,8 @@ let suite =
     QCheck_alcotest.to_alcotest prop_backends_agree;
     QCheck_alcotest.to_alcotest prop_backends_agree_flow;
     QCheck_alcotest.to_alcotest prop_backends_agree_plain;
+    Alcotest.test_case "ill-typed program walker-exact" `Quick test_ill_typed_walker_exact;
+    Alcotest.test_case "SP designs on concurrent domains" `Quick test_sp_designs_concurrent;
+    QCheck_alcotest.to_alcotest prop_backends_agree_sp;
+    QCheck_alcotest.to_alcotest prop_backends_agree_sp_flow;
   ]
