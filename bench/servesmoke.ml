@@ -5,7 +5,9 @@
    - a served report is byte-identical to `psaflow run` stdout for the
      same spec (CLI run as a separate process);
    - repeat requests for the same kernel are cache splices: the
-     cache.*.misses counters do not move;
+     cache.*.misses counters do not move, also when the repeat carries
+     a generous step budget (the budget is in no cache key), and its
+     report bytes equal the unbudgeted ones;
    - an overload burst is shed with 503 without disturbing the daemon
      or the in-flight runs;
    - every finished request leaves a ledger record and a journal file;
@@ -233,6 +235,22 @@ let () =
   if body_of (get ("/v1/flows/" ^ id2 ^ "/report")) <> served then
     fail "spliced report differs from the original";
   ok "spliced report bytes identical";
+
+  (* 2b. a step budget stays out of every cache key: a budgeted repeat
+     far above the flow's need is a splice with the same bytes *)
+  let budgeted =
+    {|{"app":"nbody","workload":"quick","client":"smoke","step_budget":100000000}|}
+  in
+  let rb = post "/v1/flows" budgeted in
+  if status_of rb <> 202 then fail "budgeted submit got %d" (status_of rb);
+  let idb = id_of rb in
+  wait_for "budgeted flow" (fun () -> flow_state idb = "done");
+  let misses2 = cache_misses () in
+  if misses2 > misses1 then
+    fail "budgeted repeat recomputed: cache misses %g -> %g" misses1 misses2;
+  if body_of (get ("/v1/flows/" ^ idb ^ "/report")) <> served then
+    fail "budgeted report differs from the unbudgeted one";
+  ok "budgeted repeat was a cache splice with identical report bytes";
 
   (* 3. overload burst: with one inflight slot and a queue of two, an
      8-request burst must shed with 503 and leave the daemon healthy *)

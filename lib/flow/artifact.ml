@@ -28,6 +28,7 @@ type t = {
   art_design : design_state option;
   art_log : string list;
   art_prov : Prov.step list;
+  art_step_budget : int option;
 }
 
 let create app ~workload =
@@ -47,10 +48,16 @@ let create app ~workload =
     art_design = None;
     art_log = [];
     art_prov = [];
+    art_step_budget = None;
   }
 
 let machine_config t =
-  { Machine.default_config with overrides = App.machine_overrides t.art_workload }
+  let d = Machine.default_config in
+  {
+    d with
+    overrides = App.machine_overrides t.art_workload;
+    max_steps = Option.fold ~none:d.max_steps ~some:(min d.max_steps) t.art_step_budget;
+  }
 
 let log t line = { t with art_log = t.art_log @ [ line ] }
 

@@ -46,12 +46,20 @@ type t = {
   art_design : design_state option;
   art_log : string list;             (** chronological task log *)
   art_prov : Prov.step list;         (** provenance trail (see {!Prov}) *)
+  art_step_budget : int option;
+      (** interpreter step budget of every run {!machine_config} configures
+          ([None]: the default [max_steps]).  Set by {!Engine.run} for the
+          branch fan-out only.  It is a bound on the run, not a fact about
+          the design: it is kept out of every cache key, so a run that
+          completes within it is the run without it. *)
 }
 
 val create : App.t -> workload:(string * int) list -> t
+(** A fresh, unbudgeted artifact for the app's program. *)
 
 val machine_config : t -> Machine.config
-(** Default interpreter configuration with the artifact's workload. *)
+(** Default interpreter configuration with the artifact's workload, and
+    [max_steps] lowered to the artifact's step budget when it has one. *)
 
 val log : t -> string -> t
 (** Append a line to the task log. *)

@@ -38,12 +38,22 @@ val run :
   ?psa_config:Psa.config ->
   ?workload:(string * int) list ->
   ?strict:bool ->
+  ?step_budget:int ->
   mode:Pipeline.mode ->
   App.t ->
   (report, string) result
 (** Default workload: the app's evaluation workload.  [~strict] (default
     [false]) restores fail-fast: the first task failure aborts the run
-    instead of pruning its branch. *)
+    instead of pruning its branch.
+
+    [~step_budget] bounds every interpreter run of the branch fan-out to
+    that many statements (it becomes the fan-out artifact's
+    [Artifact.art_step_budget]); a run that exhausts it fails its task
+    with a {!Resilience.Timeout}, which prunes that path.  The budget is
+    exact and deterministic — the same run blows it at the same
+    statement at any [--jobs] level — and belongs to this call alone:
+    concurrent runs with other budgets, or none, do not see it.  The
+    target-independent phase and design assembly are never budgeted. *)
 
 val best_design : report -> Design.t option
 (** Fastest feasible design (the paper's "Auto-Selected" bar under the

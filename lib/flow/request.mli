@@ -19,15 +19,18 @@
     and single-flight replay returns the same values a fresh computation
     would.
 
-    {2 Step-budget caveat}
+    {2 Step budgets}
 
-    [Machine.set_step_cap] is process-wide, so a step-budgeted request
-    must not run concurrently with other requests (the cap would leak
-    into their interpreter runs and could fail them spuriously).  {!run}
-    arms the cap only for its own duration; {e callers} running requests
-    concurrently must serialize budgeted specs — [psaflowd] admits them
-    exclusively (its dispatcher starts a budgeted request only when
-    nothing else is in flight, and starts nothing until it finishes). *)
+    A spec's step budget is request data: {!run} hands it to
+    {!Engine.run}, which carries it in the fan-out artifact's machine
+    config, so budgeted and unbudgeted requests may run concurrently
+    without seeing each other's bound.  The budget is absent from cache
+    keys, and a run that completes within a budget is the run without
+    it; so a budgeted request can replay what an equal run already
+    computed without spending its steps.  Whether a budget prunes a path
+    can therefore depend on what the caches already hold, including runs
+    another request has in flight; a budget that no run of the flow
+    exceeds never changes the report. *)
 
 (** Where the program comes from. *)
 type source =
@@ -41,7 +44,8 @@ type spec = {
   sp_mode : Pipeline.mode;
   sp_quick : bool;  (** test workload instead of the evaluation workload *)
   sp_step_budget : int option;
-      (** interpreter step cap per supervised task (see the caveat above) *)
+      (** interpreter step budget per run of the branch fan-out (see
+          {!Engine.run}) *)
   sp_jobs_hint : int option;
       (** advisory only: recorded for provenance; execution parallelism
           belongs to the process-wide scheduler ([--jobs] at daemon

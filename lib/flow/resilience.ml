@@ -1,5 +1,5 @@
-(* Fault-tolerance policies: classification, bounded retry with seeded
-   backoff, step-budget/deadline timeouts.  See resilience.mli. *)
+(* Fault-tolerance policies: classification and bounded retry with
+   seeded backoff.  See resilience.mli. *)
 
 type error_class = Task_failed | Timeout | Cache_corrupt | Resource_exhausted
 
@@ -14,8 +14,6 @@ type policy = {
   pol_max_attempts : int;
   pol_backoff_s : float;
   pol_seed : int;
-  pol_deadline_s : float option;
-  pol_step_budget : int option;
   pol_retryable : error_class -> bool;
 }
 
@@ -28,8 +26,6 @@ let default_policy =
     pol_max_attempts = 2;
     pol_backoff_s = 0.01;
     pol_seed = 42;
-    pol_deadline_s = None;
-    pol_step_budget = None;
     pol_retryable = default_retryable;
   }
 
@@ -96,7 +92,6 @@ let backoff pol ~site n =
 let supervise ?policy:p ~site thunk =
   let pol = match p with Some p -> p | None -> Atomic.get the_policy in
   let rec attempt n =
-    let t0 = Obs.Monotonic.now_s () in
     let outcome =
       match thunk () with
       | Ok v -> Ok v
@@ -105,16 +100,6 @@ let supervise ?policy:p ~site thunk =
         match classify_exn e with
         | Some c -> Error c
         | None -> Error (Task_failed, Printexc.to_string e))
-    in
-    let elapsed = Obs.Monotonic.now_s () -. t0 in
-    let outcome =
-      match pol.pol_deadline_s with
-      | Some d when elapsed > d ->
-        Error
-          ( Timeout,
-            Printf.sprintf "wall-clock deadline %.3gs exceeded (ran %.3gs)" d
-              elapsed )
-      | _ -> outcome
     in
     match outcome with
     | Ok v -> Ok v
@@ -132,12 +117,3 @@ let supervise ?policy:p ~site thunk =
       end
   in
   attempt 1
-
-let with_step_cap ?policy:p f =
-  let pol = match p with Some p -> p | None -> Atomic.get the_policy in
-  match pol.pol_step_budget with
-  | None -> f ()
-  | Some budget ->
-    let previous = Machine.step_cap () in
-    Machine.set_step_cap (Some budget);
-    Fun.protect ~finally:(fun () -> Machine.set_step_cap previous) f

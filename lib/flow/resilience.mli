@@ -8,19 +8,12 @@
     {!Prov.Sfailed} trail step) rather than an aborted run — except under
     [psaflow run --strict], which restores fail-fast.
 
-    Timeouts come in two shapes:
-
-    - {b interpreter step budgets} ([pol_step_budget]) cap
-      [Machine.max_steps] while a flow phase runs ({!with_step_cap}); a
-      blown budget raises [Machine.Step_limit_exceeded], classified as
-      {!Timeout}.  Step budgets are exact and deterministic: the same
-      program blows the same budget at the same statement at any [--jobs]
-      level.
-    - {b wall-clock deadlines} ([pol_deadline_s]) are checked against
-      {!Obs.Monotonic} after each attempt.  They are a safety net against
-      pathological slowness, {e not} deterministic — scheduling can push a
-      borderline task over the line — so deadline timeouts are never
-      retried and default to off.
+    A {!Timeout} is a blown interpreter step budget: a run raising
+    [Machine.Step_limit_exceeded] because it exhausted the [max_steps]
+    of its config ({!Engine.run}'s [~step_budget] lowers it for the
+    branch fan-out).  Step budgets are exact and deterministic: the same
+    program blows the same budget at the same statement at any [--jobs]
+    level, so timeouts are never retried by default.
 
     Determinism invariant: with no policy armed beyond the defaults and no
     faults injected, supervision is observationally free — every task
@@ -30,7 +23,7 @@
 (** Why a task ultimately failed. *)
 type error_class =
   | Task_failed  (** the task returned an error or raised *)
-  | Timeout  (** step budget or wall-clock deadline exhausted *)
+  | Timeout  (** interpreter step budget exhausted *)
   | Cache_corrupt  (** failure traced to a corrupted cache entry *)
   | Resource_exhausted  (** out of memory / stack overflow *)
 
@@ -49,9 +42,6 @@ type policy = {
           seeded by [pol_seed] and the site name — deterministic per
           (policy, site, attempt).  Default 0.01 s. *)
   pol_seed : int;  (** seeds the backoff jitter; default 42 *)
-  pol_deadline_s : float option;  (** wall-clock deadline per attempt; default off *)
-  pol_step_budget : int option;
-      (** interpreter step cap armed by {!with_step_cap}; default off *)
   pol_retryable : error_class -> bool;
       (** default: retry {!Task_failed} and {!Cache_corrupt} only —
           {!Timeout} and {!Resource_exhausted} are deterministic blowouts
@@ -82,8 +72,3 @@ val supervise :
     [pol_max_attempts] is spent.  Each retry increments the
     [flow.retries] counter; a final failure increments
     [flow.task.failures]. *)
-
-val with_step_cap : ?policy:policy -> (unit -> 'a) -> 'a
-(** Arm the policy's step budget as a process-wide interpreter cap
-    ([Machine.set_step_cap]) for the duration of the callback, restoring
-    the previous cap on exit.  A no-op when the policy has no budget. *)

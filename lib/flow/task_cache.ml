@@ -7,8 +7,9 @@ module C = Cache.Make (struct
 
   (* v2: Artifact.t gained [art_prov]; older marshalled layouts must miss.
      v3: kernel profiles no longer retain the baseline run's final memory
-     image; v2 entries would splice the ~800 KB images back in. *)
-  let version = 3
+     image; v2 entries would splice the ~800 KB images back in.
+     v4: Artifact.t gained [art_step_budget]. *)
+  let version = 4
 end)
 
 (* Only the expensive task classes are cached: dynamic tasks run the
@@ -91,6 +92,9 @@ let project (art : Artifact.t) =
       (* the trail differs between cold and warm runs (cache statuses);
          it must never influence a key *)
       art_prov = [];
+      (* a bound on the runs, not an input to them: a task that completes
+         under a budget produces what it produces without one *)
+      art_step_budget = None;
     } )
 
 let backend_tag () =
@@ -170,12 +174,18 @@ let apply (task : Task.t) art =
           if !computed then Ok (finish Prov.Miss out)
           else
             (* the cached trail records the *first* run's cache statuses;
-               splice this run's input trail onto the task-added suffix *)
+               splice this run's input trail onto the task-added suffix.
+               Likewise the budget is the first run's: carry this run's
+               own into its downstream tasks *)
             let suffix =
               drop (List.length art.Artifact.art_prov) out.Artifact.art_prov
             in
             let out =
-              { out with Artifact.art_prov = art.Artifact.art_prov @ suffix }
+              {
+                out with
+                Artifact.art_prov = art.Artifact.art_prov @ suffix;
+                art_step_budget = art.Artifact.art_step_budget;
+              }
             in
             Ok (finish Prov.Hit out)
         | exception Task_failed e -> Error e)

@@ -19,7 +19,10 @@ type config = Interp_rt.config = {
   profile_loops : bool;                (** per-loop inclusive cost and trip counts *)
   regions : region list;               (** regions to profile for counters + data in/out *)
   trace_aliases : bool;                (** record pointer-argument aliasing per function *)
-  max_steps : int;                     (** statement budget; exceeding raises {!Step_limit_exceeded} *)
+  max_steps : int;
+      (** statement budget; exceeding raises {!Step_limit_exceeded}.  The
+          only bound on a run, and it belongs to this run alone: a flow's
+          step budget arrives here in the config the flow builds per run *)
   entry : string;                      (** entry function, default ["main"] *)
 }
 
@@ -125,19 +128,6 @@ val plan_bail_sites : unit -> (Loc.t * string) list
     taken counters, and region-tracked plans mark footprints at each
     access.  Deterministic at any [--jobs]: memoization makes the set of executed
     runs, and therefore the set of bail sites, schedule-independent. *)
-
-val set_step_cap : int option -> unit
-(** Arm ([Some n]) or clear ([None]) a process-wide cap on [max_steps]:
-    while armed, every {!run} executes with [min config.max_steps n].
-    Used by flow resilience policies to give tasks an interpreter step
-    budget.  Sound with respect to memoization: a capped run that
-    completes is identical to the uncapped run (the cap only decides
-    whether {!Step_limit_exceeded} fires), so the cap is deliberately
-    absent from cache keys — which also means a memoized result can be
-    replayed without re-spending the steps that produced it. *)
-
-val step_cap : unit -> int option
-(** The currently armed cap, if any. *)
 
 val run : ?config:config -> ?backend:backend -> Ast.program -> result
 (** Execute the program from its entry function.

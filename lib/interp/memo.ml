@@ -93,10 +93,14 @@ let trans_region map = function
   | r -> r
 
 (* Regions are a set as far as the interpreter is concerned (membership
-   tests only), so sorting them makes the key order-insensitive. *)
+   tests only), so sorting them makes the key order-insensitive.  The
+   step budget only decides whether Step_limit_exceeded fires, and failed
+   runs are never cached, so every cached run completed within its
+   budget and is the run any larger budget would produce: keying on the
+   default keeps budgeted and unbudgeted callers on one entry. *)
 let canon_config to_canon (c : Machine.config) =
   let regions = List.sort compare (List.map (trans_region to_canon) c.Machine.regions) in
-  { c with Machine.regions }
+  { c with Machine.regions; max_steps = Machine.default_config.Machine.max_steps }
 
 let translate map (r : Machine.result) =
   {

@@ -68,7 +68,11 @@ val run :
     {!Machine.default_backend}), so entries cached under an older
     interpreter version or the other backend are never replayed.
     Exceptions ({!Machine.Runtime_error}, {!Machine.Step_limit_exceeded},
-    ...) propagate and are never cached. *)
+    ...) propagate and are never cached.  The key leaves out
+    [config.max_steps]: a run that completed is the same run under any
+    budget that lets it finish, so a hit replays it without spending
+    steps, even for a caller whose smaller budget a fresh run would
+    exhaust. *)
 
 val analysis_config : ?config:Machine.config -> unit -> Machine.config
 (** The shared instrumentation configuration used by the standalone

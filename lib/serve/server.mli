@@ -46,8 +46,10 @@
     any [--jobs] level and any request interleaving (see {!Request});
     what concurrency and restarts may change is only telemetry ([serve.*],
     cache temperatures) and which requests shed under overload.
-    Step-budgeted requests are dispatched exclusively (never overlapping
-    another request) because the interpreter step cap is process-wide. *)
+    Step-budgeted requests are dispatched like any other, in FIFO order
+    under [c_max_inflight]: a request's step budget lives in its own
+    flow's artifacts (see {!Request}), so it cannot reach a concurrent
+    request. *)
 
 type listen =
   | Unix_sock of string  (** path; an existing socket file is replaced *)

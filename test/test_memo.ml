@@ -1,7 +1,8 @@
 (* Tests for Memo: memoized interpretation must be indistinguishable from
-   direct interpretation, distinct configurations must not collide, the
-   hit/miss counters must be observable, and one flow run must actually
-   reuse interpretations. *)
+   direct interpretation, distinct configurations must not collide, step
+   budgets stay out of run and task cache keys, the hit/miss counters
+   must be observable, and one flow run must actually reuse
+   interpretations. *)
 
 let check = Alcotest.(check bool)
 let checki = Alcotest.(check int)
@@ -83,6 +84,43 @@ let test_exceptions_not_cached () =
   let s = Memo.stats () in
   checki "failed runs never hit" 0 s.Memo.hits
 
+let test_step_budget_not_in_key () =
+  (* the budget only decides whether a run may finish; a run that
+     finished is the same run under any budget, so budgeted and
+     unbudgeted callers share one entry *)
+  Memo.reset ();
+  let budgeted = { small_config with Machine.max_steps = 100_000_000 } in
+  let r1 = Memo.run ~config:budgeted nbody_program in
+  let r2 = Memo.run ~config:small_config nbody_program in
+  let s = Memo.stats () in
+  checki "budgeted run misses" 1 s.Memo.misses;
+  checki "unbudgeted run hits" 1 s.Memo.hits;
+  check "same result" true (r1.Machine.output = r2.Machine.output)
+
+let test_task_cache_budget_free () =
+  (* a cached task output must neither be keyed by the budget nor carry
+     the computing request's budget into another request's flow *)
+  Test_cache.with_cache_dir (fun _ ->
+      let art =
+        Artifact.create Nbody.app ~workload:[ ("N", 8); ("STEPS", 1) ]
+      in
+      let apply art =
+        match Task_cache.apply Tasks.identify_hotspot_loops art with
+        | Ok out -> out
+        | Error e -> Alcotest.fail e
+      in
+      let budgeted =
+        apply { art with Artifact.art_step_budget = Some 100_000_000 }
+      in
+      let plain = apply art in
+      let s = Task_cache.stats () in
+      checki "budgeted application misses" 1 s.Cache.misses;
+      checki "unbudgeted application hits" 1 s.Cache.mem_hits;
+      check "the miss keeps its own budget" true
+        (budgeted.Artifact.art_step_budget = Some 100_000_000);
+      check "the hit carries no budget" true
+        (plain.Artifact.art_step_budget = None))
+
 let test_flow_run_reuses_interpretations () =
   (* acceptance: one uninformed N-Body flow must hit the memo at least
      three times (the analysis tasks share one kernel profile) *)
@@ -116,5 +154,7 @@ let suite =
     ("distinct configs do not collide", `Quick, test_distinct_configs_do_not_collide);
     ("id-renumbered programs share one entry", `Quick, test_renumbered_program_hits);
     ("failed runs are not cached", `Quick, test_exceptions_not_cached);
+    ("step budget is not in the key", `Quick, test_step_budget_not_in_key);
+    ("task cache keys and hits are budget-free", `Quick, test_task_cache_budget_free);
     ("one flow run reuses interpretations", `Quick, test_flow_run_reuses_interpretations);
   ]

@@ -2,8 +2,8 @@
    malformed-request rejection, HTTP framing, rate-limiter replay
    determinism, bounded-admission load shedding, request-store crash
    recovery, and in-process end-to-end server runs with an injected
-   runner (shed burst, drain, resume, exclusive dispatch, report
-   bytes). *)
+   runner (shed burst, drain, resume, budgeted overlap, report bytes),
+   plus real budgeted and unbudgeted flows overlapping in flight. *)
 
 let check msg = Alcotest.(check bool) msg
 
@@ -563,20 +563,42 @@ let test_server_resume () =
             (status_of (post sock "/v1/flows" {|{"app":"nbody"}|}));
           wait_for "new run" (fun () -> terminal sock "q000004")))
 
-let test_server_exclusive_dispatch () =
+let with_jobs jobs f =
+  let saved = Util.Pool.default_jobs () in
+  Util.Pool.set_default_jobs jobs;
+  Fun.protect ~finally:(fun () -> Util.Pool.set_default_jobs saved) f
+
+let test_server_budgeted_overlap () =
+  (* a step budget is request data, so the dispatcher treats a budgeted
+     request like any other: it starts while an unbudgeted one is still
+     in flight.  Four jobs give the daemon's futures three workers. *)
+  with_jobs 4 @@ fun () ->
   with_dir (fun dir ->
       let lock = Mutex.create () in
       let events = ref [] in
-      let record tag excl =
+      let record ev =
         Mutex.lock lock;
-        events := (tag, excl) :: !events;
+        events := ev :: !events;
         Mutex.unlock lock
       in
+      let budgeted_started = Atomic.make false in
       let runner spec =
-        let excl = spec.Request.sp_step_budget <> None in
-        record `Start excl;
-        Unix.sleepf 0.15;
-        record `Stop excl;
+        let budgeted = spec.Request.sp_step_budget <> None in
+        record (`Start, budgeted);
+        if budgeted then Atomic.set budgeted_started true
+        else begin
+          (* hold the slot until the budgeted request starts; the bound
+             turns a serialising dispatcher into a failed check, not a
+             hang *)
+          let t0 = Unix.gettimeofday () in
+          while
+            (not (Atomic.get budgeted_started))
+            && Unix.gettimeofday () -. t0 < 5.0
+          do
+            Unix.sleepf 0.01
+          done
+        end;
+        record (`Stop, budgeted);
         failing_outcome
       in
       with_server ~max_inflight:4 ~runner dir (fun sock ->
@@ -584,28 +606,56 @@ let test_server_exclusive_dispatch () =
             check_int "accepted" 202 (status_of (post sock "/v1/flows" body))
           in
           submit {|{"app":"nbody"}|};
-          submit {|{"app":"nbody"}|};
+          wait_for "unbudgeted in flight" (fun () ->
+              flow_state sock "q000001" = "running");
           submit {|{"app":"nbody","step_budget":1000000}|};
-          submit {|{"app":"nbody"}|};
-          wait_for "all four" (fun () ->
-              List.for_all (terminal sock)
-                [ "q000001"; "q000002"; "q000003"; "q000004" ]);
-          (* a step-budgeted request must never overlap another request:
-             the interpreter step cap is process-wide *)
+          wait_for "both" (fun () ->
+              terminal sock "q000001" && terminal sock "q000002");
           let timeline = List.rev !events in
-          check_int "all four requests ran" 8 (List.length timeline);
-          let overlap, _, _ =
-            List.fold_left
-              (fun (bad, inflight, excl_open) (tag, excl) ->
-                match tag with
-                | `Start ->
-                  ( bad || (excl && inflight > 0) || excl_open,
-                    inflight + 1,
-                    excl_open || excl )
-                | `Stop -> (bad, inflight - 1, excl_open && not excl))
-              (false, 0, false) timeline
+          check_int "both requests ran" 4 (List.length timeline);
+          let rec index i ev = function
+            | [] -> max_int
+            | e :: rest -> if e = ev then i else index (i + 1) ev rest
           in
-          check "budgeted request ran alone start-to-stop" false overlap))
+          check "budgeted request started while the unbudgeted one ran" true
+            (index 0 (`Start, true) timeline < index 0 (`Stop, false) timeline)))
+
+let test_request_budget_overlap () =
+  (* a budgeted K-Means flow and an unbudgeted N-Body flow overlapping in
+     flight each render exactly what they render alone.  116000 steps
+     prunes K-Means' GPU path (its runs take ~118k steps) and keeps the
+     others, so its fan-out spans N-Body's; N-Body's HIP design run takes
+     ~232k steps, so a budget that leaked across requests would prune
+     N-Body too.  Clearing the memory tier makes every round interpret
+     afresh. *)
+  with_jobs 4 @@ fun () ->
+  let kmeans =
+    { quick_spec with
+      Request.sp_source = Request.Builtin "kmeans";
+      sp_step_budget = Some 116_000 }
+  in
+  let solo spec =
+    Cache.clear_memory ();
+    Request.run spec
+  in
+  let k0 = solo kmeans and n0 = solo quick_spec in
+  check_int "the budget prunes a K-Means path" Request.exit_partial
+    k0.Request.oc_status;
+  check_int "N-Body alone is complete" 0 n0.Request.oc_status;
+  for round = 1 to 3 do
+    Cache.clear_memory ();
+    let fk = Util.Pool.Fut.spawn (fun () -> Request.run kmeans) in
+    let fn = Util.Pool.Fut.spawn (fun () -> Request.run quick_spec) in
+    let k = Util.Pool.Fut.await fk and n = Util.Pool.Fut.await fn in
+    let same what solo got =
+      check_str (Printf.sprintf "round %d: %s equals its solo run" round what)
+        solo got
+    in
+    same "K-Means report" k0.Request.oc_text k.Request.oc_text;
+    same "K-Means why" k0.Request.oc_why k.Request.oc_why;
+    same "N-Body report" n0.Request.oc_text n.Request.oc_text;
+    same "N-Body why" n0.Request.oc_why n.Request.oc_why
+  done
 
 let suite =
   [
@@ -636,6 +686,8 @@ let suite =
     Alcotest.test_case "server end-to-end" `Slow test_server_e2e;
     Alcotest.test_case "server rate limit" `Quick test_server_rate_limit;
     Alcotest.test_case "server resume after crash" `Quick test_server_resume;
-    Alcotest.test_case "server exclusive dispatch" `Quick
-      test_server_exclusive_dispatch;
+    Alcotest.test_case "server budgeted overlap" `Quick
+      test_server_budgeted_overlap;
+    Alcotest.test_case "request budgeted overlap matches solo" `Slow
+      test_request_budget_overlap;
   ]
